@@ -1,5 +1,7 @@
 // Microbenchmark (Theorem 2) — exit-setting search cost: exhaustive O(m^2)
-// vs branch-and-bound O(m ln m) average, on random monotone-σ profiles.
+// vs branch-and-bound O(m ln m) average, on random monotone-σ profiles;
+// plus the per-slot offload solvers (eqs. 19/20) over a 4096-device fleet,
+// batched and one device per call.
 //
 // Emits BENCH_micro_exit_setting.json (bench::Reporter schema). The
 // evaluation/round counters are pure functions of the fixed RNG seed, so
@@ -15,6 +17,8 @@
 #include <vector>
 
 #include "core/exit_setting.h"
+#include "core/lyapunov.h"
+#include "core/partition.h"
 #include "models/profile.h"
 #include "policy/engine.h"
 #include "reporter.h"
@@ -49,6 +53,25 @@ core::Environment random_env(util::Rng& rng) {
   env.net = {rng.uniform(1e5, 2e7), rng.uniform(0.005, 0.2),
              rng.uniform(1e6, 5e7), rng.uniform(0.01, 0.1)};
   return env;
+}
+
+/// Random per-slot device state over a shared partition (the ranges of
+/// tests/policy/policy_diff_test.cpp).
+core::DeviceSlotState random_slot_state(const core::MeDnnPartition& partition,
+                                        util::Rng& rng) {
+  core::DeviceSlotState s;
+  s.partition = &partition;
+  s.device_flops = rng.uniform(1e9, 4e10);
+  s.edge_share_flops = rng.uniform(1e9, 1e11);
+  s.bandwidth = rng.uniform(1e5, 2e7);
+  s.latency = rng.uniform(0.001, 0.1);
+  s.queue_device = rng.uniform(0.0, 20.0);
+  s.queue_edge = rng.uniform(0.0, 20.0);
+  s.arrivals = rng.uniform(0.0, 5.0);
+  s.uplink_backlog_bytes = rng.uniform(0.0, 1e5);
+  s.config.V = rng.uniform(1.0, 200.0);
+  s.config.tau = 1.0;
+  return s;
 }
 
 }  // namespace
@@ -178,6 +201,52 @@ int main(int argc, char** argv) {
     });
     cache.counters["cache_hits"] = hits;
     cache.counters["cache_misses"] = misses;
+  }
+
+  // Per-slot offload decisions (eqs. 19/20) for one 4096-device fleet:
+  // the whole slot in one batched call, and eq. 19 one device per call
+  // (the batch-of-one path a lone device takes). `evaluations` counts
+  // objective (eq. 19) or T_d − T_e (eq. 20) evaluations over the fleet,
+  // so evaluations / decisions is the per-decision work; both counters
+  // are seed-deterministic and gated strictly.
+  {
+    util::Rng rng(1919);
+    const auto profile = random_profile(16, rng);
+    const auto partition = core::make_partition(profile, {4, 9, 16});
+    std::vector<core::DeviceSlotState> fleet;
+    for (int i = 0; i < 4096; ++i)
+      fleet.push_back(random_slot_state(partition, rng));
+    std::vector<double> x(fleet.size());
+    const auto decisions = static_cast<std::uint64_t>(fleet.size());
+    auto record = [&](bench::BenchCase& c, std::uint64_t evaluations) {
+      c.counters["decisions"] = decisions;
+      c.counters["evaluations"] = evaluations;
+      c.rates["evals_per_decision"] =
+          static_cast<double>(evaluations) / static_cast<double>(decisions);
+      if (c.wall.median > 0.0)
+        c.rates["decisions_per_s"] =
+            static_cast<double>(decisions) / c.wall.median;
+    };
+
+    std::uint64_t evals = 0;
+    auto& eq19 = reporter.run_case("eq19/fleet=4096", [&] {
+      evals = 0;
+      core::minimize_drift_plus_penalty(fleet, x, &evals);
+    });
+    record(eq19, evals);
+
+    auto& single = reporter.run_case("eq19/single", [&] {
+      evals = 0;
+      for (std::size_t i = 0; i < fleet.size(); ++i)
+        core::minimize_drift_plus_penalty({&fleet[i], 1}, {&x[i], 1}, &evals);
+    });
+    record(single, evals);
+
+    auto& eq20 = reporter.run_case("eq20/fleet=4096", [&] {
+      evals = 0;
+      core::balance_offload_ratio(fleet, x, &evals);
+    });
+    record(eq20, evals);
   }
 
   reporter.print_table(std::cout);

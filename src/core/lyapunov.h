@@ -5,9 +5,15 @@
 // arrivals, the offloading ratio x ∈ [0,1] splits first-block work between
 // the device and its edge share. This header exposes the slot cost terms
 // (eqs. 12-14), the drift-plus-penalty objective (eq. 19), the bandwidth
-// feasibility interval (eq. 8), and two solvers: exact scalar minimisation
-// and the paper's decentralized T_d = T_e balance rule (eq. 20).
+// feasibility interval (eq. 8), and two solvers: exact minimisation and
+// the paper's decentralized T_d = T_e balance rule (eq. 20). The solvers
+// are batched: one call decides a whole fleet's slot in vector lanes, and
+// the single-state overloads are batches of one (DESIGN.md §12.1).
 #pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
 
 #include "core/partition.h"
 
@@ -80,14 +86,36 @@ struct Interval {
 };
 Interval feasible_offload_interval(const DeviceSlotState& s);
 
+/// States the batched solvers keep in flight at once: each batch is solved
+/// in blocks of this many states, interleaving their solves.
+inline constexpr std::size_t kStatesInFlight = 8;
+
+/// out[i] = drift_plus_penalty(states[i], xs[i]), evaluated two states per
+/// vector by the batched solvers' lane code; bit-identical to the scalar
+/// function. Throws std::invalid_argument unless all sizes match.
+void drift_plus_penalty(std::span<const DeviceSlotState> states,
+                        std::span<const double> xs, std::span<double> out);
+
 /// Exact per-slot decision: minimises drift_plus_penalty over the feasible
-/// interval (coarse grid + golden-section refinement; robust to the
-/// objective's piecewise form).
+/// interval (65-point grid, then golden-section refinement around the best
+/// grid point; robust to the objective's piecewise form). Validates each
+/// state in order, writes out[i] for states[i], and adds the number of
+/// objective evaluations spent to *evaluations when given. Every output is
+/// bit-for-bit the value a state-at-a-time solve returns. Throws
+/// std::invalid_argument on an invalid state or a size mismatch.
+void minimize_drift_plus_penalty(std::span<const DeviceSlotState> states,
+                                 std::span<double> out,
+                                 std::uint64_t* evaluations = nullptr);
 double minimize_drift_plus_penalty(const DeviceSlotState& s);
 
 /// The paper's decentralized rule: the x equalising T_i^d(x) = T_i^e(x)
-/// (eq. 20's equality condition), clipped to the feasible interval.
-/// Falls back to the interval endpoint when no crossing exists.
+/// (eq. 20's equality condition) by bisection, clipped to the feasible
+/// interval. Falls back to the interval endpoint when no crossing exists.
+/// Batch contract as minimize_drift_plus_penalty; *evaluations counts
+/// T_i^d − T_i^e evaluations.
+void balance_offload_ratio(std::span<const DeviceSlotState> states,
+                           std::span<double> out,
+                           std::uint64_t* evaluations = nullptr);
 double balance_offload_ratio(const DeviceSlotState& s);
 
 }  // namespace leime::core

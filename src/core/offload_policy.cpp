@@ -5,12 +5,29 @@
 
 namespace leime::core {
 
+void OffloadPolicy::decide_batch(std::span<const DeviceSlotState> states,
+                                 std::span<double> out) const {
+  if (out.size() != states.size())
+    throw std::invalid_argument("OffloadPolicy: batch size mismatch");
+  for (std::size_t i = 0; i < states.size(); ++i) out[i] = decide(states[i]);
+}
+
 double LeimePolicy::decide(const DeviceSlotState& state) const {
   return minimize_drift_plus_penalty(state);
 }
 
+void LeimePolicy::decide_batch(std::span<const DeviceSlotState> states,
+                               std::span<double> out) const {
+  minimize_drift_plus_penalty(states, out);
+}
+
 double BalancePolicy::decide(const DeviceSlotState& state) const {
   return balance_offload_ratio(state);
+}
+
+void BalancePolicy::decide_batch(std::span<const DeviceSlotState> states,
+                                 std::span<double> out) const {
+  balance_offload_ratio(states, out);
 }
 
 double DeviceOnlyPolicy::decide(const DeviceSlotState&) const { return 0.0; }
@@ -46,6 +63,23 @@ FallbackPolicy::FallbackPolicy(std::unique_ptr<OffloadPolicy> inner)
 double FallbackPolicy::decide(const DeviceSlotState& state) const {
   if (!state.edge_available) return 0.0;
   return inner_->decide(state);
+}
+
+void FallbackPolicy::decide_batch(std::span<const DeviceSlotState> states,
+                                  std::span<double> out) const {
+  if (out.size() != states.size())
+    throw std::invalid_argument("FallbackPolicy: batch size mismatch");
+  std::size_t i = 0;
+  while (i < states.size()) {
+    if (!states[i].edge_available) {
+      out[i++] = 0.0;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < states.size() && states[end].edge_available) ++end;
+    inner_->decide_batch(states.subspan(i, end - i), out.subspan(i, end - i));
+    i = end;
+  }
 }
 
 std::unique_ptr<OffloadPolicy> make_policy(const std::string& name) {

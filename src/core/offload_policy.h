@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "core/lyapunov.h"
@@ -19,6 +20,13 @@ class OffloadPolicy {
   /// Returns the offloading ratio x ∈ [0,1] for this device and slot.
   virtual double decide(const DeviceSlotState& state) const = 0;
 
+  /// out[i] = decide(states[i]) bit for bit, for a whole slot's fleet at
+  /// once. The default loops over decide(); the eq. 19/20 policies solve
+  /// the batch in vector lanes. Throws std::invalid_argument on a size
+  /// mismatch, and whatever decide() throws for the first bad state.
+  virtual void decide_batch(std::span<const DeviceSlotState> states,
+                            std::span<double> out) const;
+
   virtual std::string name() const = 0;
 };
 
@@ -26,6 +34,8 @@ class OffloadPolicy {
 class LeimePolicy final : public OffloadPolicy {
  public:
   double decide(const DeviceSlotState& state) const override;
+  void decide_batch(std::span<const DeviceSlotState> states,
+                    std::span<double> out) const override;
   std::string name() const override { return "LEIME"; }
 };
 
@@ -33,6 +43,8 @@ class LeimePolicy final : public OffloadPolicy {
 class BalancePolicy final : public OffloadPolicy {
  public:
   double decide(const DeviceSlotState& state) const override;
+  void decide_batch(std::span<const DeviceSlotState> states,
+                    std::span<double> out) const override;
   std::string name() const override { return "LEIME-balance"; }
 };
 
@@ -77,6 +89,10 @@ class FallbackPolicy final : public OffloadPolicy {
  public:
   explicit FallbackPolicy(std::unique_ptr<OffloadPolicy> inner);
   double decide(const DeviceSlotState& state) const override;
+  /// Hands each maximal run of edge-available states to the inner policy
+  /// as one batch and writes 0.0 elsewhere (never validating those).
+  void decide_batch(std::span<const DeviceSlotState> states,
+                    std::span<double> out) const override;
   std::string name() const override { return inner_->name() + "+fallback"; }
 
  private:

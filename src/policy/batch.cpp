@@ -1,8 +1,7 @@
 #include "policy/batch.h"
 
 #include <bit>
-#include <cstdint>
-#include <unordered_map>
+#include <stdexcept>
 
 #include "prof/profiler.h"
 
@@ -59,32 +58,43 @@ std::uint64_t slot_state_hash(const core::DeviceSlotState& s) {
 }
 
 BatchStats decide_fleet(const core::OffloadPolicy& policy,
-                        const std::vector<core::DeviceSlotState>& states,
-                        std::vector<double>& out) {
+                        std::span<const core::DeviceSlotState> states,
+                        std::span<double> out, FleetScratch& scratch) {
   LEIME_PROF_SCOPE("leime.policy.decide_fleet");
-  BatchStats stats;
-  out.resize(states.size());
-  // hash -> representative indices (chained on exact comparison, so a hash
-  // collision costs one extra compare, never a wrong dedup).
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> reps;
-  reps.reserve(states.size());
+  if (out.size() != states.size())
+    throw std::invalid_argument("decide_fleet: output size mismatch");
+  // Linear probing over a power-of-two table at most half full; a hash
+  // collision costs one extra exact comparison, never a wrong dedup.
+  std::size_t capacity = 16;
+  while (capacity < 2 * states.size()) capacity *= 2;
+  const std::size_t mask = capacity - 1;
+  scratch.table.assign(capacity, 0);
+  scratch.group.resize(states.size());
+  scratch.reps.clear();
   for (std::size_t i = 0; i < states.size(); ++i) {
-    auto& chain = reps[slot_state_hash(states[i])];
-    bool found = false;
-    for (const std::size_t r : chain) {
-      if (slot_state_bits_equal(states[r], states[i])) {
-        out[i] = out[r];
-        ++stats.reused;
-        found = true;
+    std::size_t slot = slot_state_hash(states[i]) & mask;
+    while (true) {
+      const std::uint32_t entry = scratch.table[slot];
+      if (entry == 0) {
+        scratch.group[i] = static_cast<std::uint32_t>(scratch.reps.size());
+        scratch.reps.push_back(states[i]);
+        scratch.table[slot] = static_cast<std::uint32_t>(scratch.reps.size());
         break;
       }
-    }
-    if (!found) {
-      out[i] = policy.decide(states[i]);
-      chain.push_back(i);
-      ++stats.groups;
+      if (slot_state_bits_equal(scratch.reps[entry - 1], states[i])) {
+        scratch.group[i] = entry - 1;
+        break;
+      }
+      slot = (slot + 1) & mask;
     }
   }
+  scratch.rep_x.resize(scratch.reps.size());
+  policy.decide_batch(scratch.reps, scratch.rep_x);
+  for (std::size_t i = 0; i < states.size(); ++i)
+    out[i] = scratch.rep_x[scratch.group[i]];
+  BatchStats stats;
+  stats.groups = scratch.reps.size();
+  stats.reused = states.size() - stats.groups;
   return stats;
 }
 

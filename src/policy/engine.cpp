@@ -168,14 +168,16 @@ void Engine::emit_exit_setting_record(const core::CostModel& model,
 
 void Engine::decide_fleet(const core::OffloadPolicy& policy,
                           const std::vector<core::DeviceSlotState>& states,
-                          std::vector<double>& out) const {
+                          std::vector<double>& out,
+                          FleetScratch* scratch) const {
+  out.resize(states.size());
   if (!config_.batch_eq20) {
-    out.resize(states.size());
-    for (std::size_t i = 0; i < states.size(); ++i)
-      out[i] = policy.decide(states[i]);
+    policy.decide_batch(states, out);
     return;
   }
-  const auto stats = policy::decide_fleet(policy, states, out);
+  FleetScratch one_shot;
+  const auto stats = policy::decide_fleet(policy, states, out,
+                                          scratch ? *scratch : one_shot);
   batch_groups_.fetch_add(stats.groups, std::memory_order_relaxed);
   batch_reused_.fetch_add(stats.reused, std::memory_order_relaxed);
 }

@@ -11,13 +11,15 @@
 //                 bit-identical device states (batch.h).
 //
 // Streaming interface: each control stream — one simulation, one adaptive
-// epoch loop, one shard of a future sharded DES — owns an Incumbent and
-// feeds (bandwidth, load, sigma-profile) observations in as CostModels /
+// epoch loop, one shard of the sharded DES — owns an Incumbent and feeds
+// (bandwidth, load, sigma-profile) observations in as CostModels /
 // DeviceSlotStates; exit sets and offload ratios come out. The Engine owns
 // only cross-stream state (the shared memo cache and statistics) and may
-// be called from many threads concurrently; with all knobs off every entry
-// point degenerates to exactly the core:: reference call, which is why
-// sim-facing code routes through the Engine unconditionally.
+// be called from many threads concurrently. With all knobs off,
+// exit_setting is exactly the core:: reference search and decide_fleet is
+// one OffloadPolicy::decide_batch call over the whole fleet — for LEIME
+// and LEIME-balance the lane-batched eq. 19/20 kernel (core/lyapunov.h),
+// bit-identical to deciding device by device.
 #pragma once
 
 #include <atomic>
@@ -96,12 +98,15 @@ class Engine {
                                        Incumbent* incumbent = nullptr);
 
   /// Per-slot offload ratios for a whole fleet: out[i] =
-  /// policy.decide(states[i]) within 0 ULP. With batch_eq20 bit-identical
-  /// states are solved once (batch.h); off, it is literally the sequential
-  /// loop. Thread-safe (only local scratch plus atomic counters).
+  /// policy.decide(states[i]) within 0 ULP, out resized to match. Off,
+  /// batch_eq20 is one policy.decide_batch call over the fleet; on,
+  /// bit-identical states are solved once (batch.h), reusing *scratch
+  /// across rounds when given. Thread-safe (caller-owned or local scratch
+  /// plus atomic counters); a scratch object serves one thread at a time.
   void decide_fleet(const core::OffloadPolicy& policy,
                     const std::vector<core::DeviceSlotState>& states,
-                    std::vector<double>& out) const;
+                    std::vector<double>& out,
+                    FleetScratch* scratch = nullptr) const;
 
   Stats stats() const;
 

@@ -843,35 +843,36 @@ class Simulation {
     return s;
   }
 
-  void decide(std::size_t i) {
-    LEIME_PROF_SCOPE("leime.sim.decide");
-    const auto state = observe(i);
-    apply_decision(i, state, policy_->decide(state));
-  }
-
-  /// Slot decisions for the whole fleet. The default path is the
-  /// sequential per-device loop; with [policy] batch_eq20 the engine
-  /// dedups bit-identical states and calls the policy once per group —
-  /// result-identical within 0 ULP (src/policy/batch.h), proven by the
-  /// golden invariance test.
+  /// Slot decisions for the whole fleet: observe every device, decide in
+  /// one batched call, then apply in device order. Observation and
+  /// decision touch no queues, consume no RNG and schedule no events, so
+  /// the phase split leaves every value and the event sequence as a
+  /// device-by-device loop would. Without an engine the policy's own
+  /// decide_batch runs (the eq. 19/20 vector lanes, bit-identical to
+  /// decide); with [policy] batch_eq20 the engine first dedups
+  /// bit-identical states (src/policy/batch.h).
   void decide_all() {
+    LEIME_PROF_SCOPE("leime.sim.decide");
     // Each decision epoch opens a fresh x-log slice; the coordinator
     // replays slices in (epoch, shard) order to rebuild the fleet-order
     // x_sum accumulation of the single-queue loop.
     if (role_.active()) x_log_.emplace_back();
-    if (!engine_) {
-      for (std::size_t i = lo_; i < hi_; ++i) decide(i);
-      return;
-    }
-    scratch_states_.clear();
+    // Sized once, not grown: growth by doubling would briefly hold two
+    // copies of a large fleet's states.
+    scratch_states_.resize(hi_ - lo_);
+    scratch_x_.resize(hi_ - lo_);
     for (std::size_t i = lo_; i < hi_; ++i)
-      scratch_states_.push_back(observe(i));
-    engine_->decide_fleet(*policy_, scratch_states_, scratch_x_);
+      scratch_states_[i - lo_] = observe(i);
+    if (engine_)
+      engine_->decide_fleet(*policy_, scratch_states_, scratch_x_,
+                            &fleet_scratch_);
+    else
+      policy_->decide_batch(scratch_states_, scratch_x_);
     for (std::size_t i = lo_; i < hi_; ++i)
       apply_decision(i, scratch_states_[i - lo_], scratch_x_[i - lo_]);
   }
 
-  /// Decision bookkeeping shared by the sequential and batched paths.
+  /// Per-device decision bookkeeping, in device order.
   void apply_decision(std::size_t i, const core::DeviceSlotState& state,
                       double x) {
     auto& dev = *devices_[i];
@@ -1406,16 +1407,18 @@ class Simulation {
   std::unique_ptr<net::Fabric> fabric_;  ///< topology mode; else nullptr
   std::unique_ptr<FifoProcessor> cloud_;
   std::unique_ptr<core::OffloadPolicy> policy_;
-  /// Set iff cfg_.policy_core.batch_eq20; scratch vectors reused across
-  /// slots so the batched path allocates nothing in steady state.
+  /// Set iff cfg_.policy_core.batch_eq20.
   std::unique_ptr<policy::Engine> policy_engine_;
-  /// The engine decisions actually go through: the shared coordinator
-  /// engine in sharded mode, policy_engine_.get() otherwise (null = the
-  /// sequential per-device path).
+  /// The engine decisions go through: the shared coordinator engine in
+  /// sharded mode, policy_engine_.get() otherwise (null = the policy's own
+  /// decide_batch, no dedup).
   policy::Engine* engine_ = nullptr;
   policy::Stats policy_stats_baseline_;
+  /// Decision-round scratch reused across slots, so rounds allocate
+  /// nothing in steady state.
   std::vector<core::DeviceSlotState> scratch_states_;
   std::vector<double> scratch_x_;
+  policy::FleetScratch fleet_scratch_;
   /// Sharded mode only: per-epoch offload decisions in device order (the
   /// coordinator's x_sum replay) and the gathered fleet-wide arrival
   /// counts the next kReallocate event allocates from.

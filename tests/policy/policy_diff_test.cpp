@@ -226,6 +226,7 @@ TEST(PolicyDiff, BatchedFleetDecisionsMatchSequentialBitForBit) {
   const util::Rng base(0xBA7C4ull);
 
   std::uint64_t total_reused = 0;
+  FleetScratch scratch;  // reused across trials, as the simulation does
   for (int trial = 0; trial < 1000; ++trial) {
     util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
     const auto n = static_cast<std::size_t>(rng.uniform_int(1, 32));
@@ -243,8 +244,8 @@ TEST(PolicyDiff, BatchedFleetDecisionsMatchSequentialBitForBit) {
         trial % 2 == 0 ? static_cast<const core::OffloadPolicy&>(leime)
                        : balance;
 
-    std::vector<double> batched;
-    const auto stats = decide_fleet(policy, states, batched);
+    std::vector<double> batched(states.size());
+    const auto stats = decide_fleet(policy, states, batched, scratch);
     ASSERT_EQ(batched.size(), states.size());
     ASSERT_EQ(stats.groups + stats.reused, states.size());
     total_reused += stats.reused;
@@ -256,9 +257,9 @@ TEST(PolicyDiff, BatchedFleetDecisionsMatchSequentialBitForBit) {
   EXPECT_GT(total_reused, 1000u);  // the dedup path was genuinely hit
 }
 
-// The Engine's decide_fleet with batch_eq20 off must be *literally* the
-// sequential loop, and with it on must match (same 0-ULP property, one
-// layer up, including the stats plumbing).
+// The Engine's decide_fleet with batch_eq20 off (one decide_batch call)
+// must equal the sequential per-device loop, and with it on must match
+// too (same 0-ULP property, one layer up, including the stats plumbing).
 TEST(PolicyDiff, EngineDecideFleetMatchesAtBothKnobSettings) {
   util::Rng rng(0xF1EE7ull);
   const auto profile = random_profile(12, rng);
@@ -278,8 +279,10 @@ TEST(PolicyDiff, EngineDecideFleetMatchesAtBothKnobSettings) {
   batched_engine.decide_fleet(policy, states, batched);
   plain_engine.decide_fleet(policy, states, plain);
   ASSERT_EQ(batched.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i)
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    ASSERT_EQ(plain[i], policy.decide(states[i])) << i;
     ASSERT_EQ(batched[i], plain[i]) << i;
+  }
   EXPECT_EQ(batched_engine.stats().batch_reused, 2u);
   EXPECT_EQ(batched_engine.stats().batch_groups, 22u);
   EXPECT_EQ(plain_engine.stats().batch_groups, 0u);
