@@ -1,7 +1,8 @@
 // Microbenchmark (Theorem 2) — exit-setting search cost: exhaustive O(m^2)
 // vs branch-and-bound O(m ln m) average, on random monotone-σ profiles;
 // plus the per-slot offload solvers (eqs. 19/20) over a 4096-device fleet,
-// batched and one device per call.
+// batched, one device per call, and as repeated decision rounds behind the
+// per-device slot memo.
 //
 // Emits BENCH_micro_exit_setting.json (bench::Reporter schema). The
 // evaluation/round counters are pure functions of the fixed RNG seed, so
@@ -13,14 +14,17 @@
 //   micro_exit_setting [--repeats N] [--warmup N] [--out FILE] [--no-json]
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/exit_setting.h"
 #include "core/lyapunov.h"
+#include "core/offload_policy.h"
 #include "core/partition.h"
 #include "models/profile.h"
 #include "policy/engine.h"
+#include "policy/slot_memo.h"
 #include "reporter.h"
 #include "util/rng.h"
 
@@ -247,6 +251,37 @@ int main(int argc, char** argv) {
       core::balance_offload_ratio(fleet, x, &evals);
     });
     record(eq20, evals);
+
+    // The simulator's decision rounds behind the per-device slot memo
+    // (policy/slot_memo.h): K rounds over the same fleet, where in round r
+    // every device with k % 4 == r % 4 sees its queue one task longer.
+    // Each round after the first changes half the fleet's states (the
+    // devices bumped now and those bumped the round before), so `solves`
+    // is 4096 + (K - 1) * 2048 of K * 4096 `decisions`; both strict.
+    constexpr std::size_t kRounds = 8;
+    const core::LeimePolicy leime;
+    std::uint64_t solves = 0;
+    auto& rounds = reporter.run_case("eq19/rounds fleet=4096", [&] {
+      solves = 0;
+      policy::SlotMemo memo;
+      for (std::size_t r = 0; r < kRounds; ++r)
+        solves += memo.round(
+            fleet.size(),
+            [&](std::size_t k) {
+              core::DeviceSlotState s = fleet[k];
+              if (k % 4 == r % 4) s.queue_device += 1.0;
+              return s;
+            },
+            [&](std::span<const core::DeviceSlotState> states,
+                std::span<double> out) { leime.decide_batch(states, out); });
+    });
+    rounds.counters["decisions"] = kRounds * decisions;
+    rounds.counters["solves"] = solves;
+    rounds.rates["solves_per_decision"] =
+        static_cast<double>(solves) / static_cast<double>(kRounds * decisions);
+    if (rounds.wall.median > 0.0)
+      rounds.rates["decisions_per_s"] =
+          static_cast<double>(kRounds * decisions) / rounds.wall.median;
   }
 
   reporter.print_table(std::cout);

@@ -2,9 +2,12 @@
 # Repo verification gate.
 #
 #   1. Tier-1: configure + build + full ctest suite (ROADMAP.md contract).
-#   2. Zero-alloc: the EventQueue steady-state allocation gate, run
-#      explicitly so the DESIGN.md §10 property shows up by name even
-#      though it also rides inside sim_test.
+#   2. Zero-alloc: the steady-state allocation gates of the EventQueue
+#      and of the per-slot decision round (batched eq. 19/20 decisions,
+#      with and without the batch_eq20 dedup, behind the per-device slot
+#      memo), plus the memo's differential suite, run explicitly so the
+#      DESIGN.md §10 / §12.2 properties show up by name even though they
+#      also ride inside sim_test.
 #   3. Policy: the differential/property suite proving the [policy] fast
 #      paths (memo cache, warm-started B&B, batched eq. 20) result-
 #      identical to the reference searches (DESIGN.md §12), run explicitly
@@ -38,8 +41,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== zero-alloc: EventQueue steady-state gate =="
-./build/tests/sim_test --gtest_filter='EventQueueAlloc.*'
+echo "== zero-alloc: EventQueue + decision-round gates, slot-memo suite =="
+./build/tests/sim_test \
+  --gtest_filter='EventQueueAlloc.*:DecideAlloc.*:DecideMemo.*'
 
 echo "== policy: differential equivalence suite =="
 ./build/tests/policy_test

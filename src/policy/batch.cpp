@@ -24,6 +24,13 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 }  // namespace
 
+// The slot memo and the batch_eq20 dedup reuse a decision whenever these
+// compare equal, so a DeviceSlotState field they miss would serve stale
+// ratios. A new field changes the size: cover it below, then update this.
+static_assert(sizeof(void*) != 8 || sizeof(core::DeviceSlotState) == 96,
+              "slot_state_bits_equal / slot_state_hash must cover every "
+              "DeviceSlotState field");
+
 bool slot_state_bits_equal(const core::DeviceSlotState& a,
                            const core::DeviceSlotState& b) {
   return a.partition == b.partition &&

@@ -171,6 +171,14 @@ void Engine::decide_fleet(const core::OffloadPolicy& policy,
                           std::vector<double>& out,
                           FleetScratch* scratch) const {
   out.resize(states.size());
+  decide_fleet(policy, std::span<const core::DeviceSlotState>(states),
+               std::span<double>(out), scratch);
+}
+
+void Engine::decide_fleet(const core::OffloadPolicy& policy,
+                          std::span<const core::DeviceSlotState> states,
+                          std::span<double> out,
+                          FleetScratch* scratch) const {
   if (!config_.batch_eq20) {
     policy.decide_batch(states, out);
     return;

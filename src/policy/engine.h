@@ -17,14 +17,19 @@
 // only cross-stream state (the shared memo cache and statistics) and may
 // be called from many threads concurrently. With all knobs off,
 // exit_setting is exactly the core:: reference search and decide_fleet is
-// one OffloadPolicy::decide_batch call over the whole fleet — for LEIME
-// and LEIME-balance the lane-batched eq. 19/20 kernel (core/lyapunov.h),
-// bit-identical to deciding device by device.
+// one OffloadPolicy::decide_batch call over the states it is handed — for
+// LEIME and LEIME-balance the lane-batched eq. 19/20 kernel
+// (core/lyapunov.h), bit-identical to deciding device by device. The
+// simulation hands it only the devices whose slot state changed since
+// their previous slot (policy/slot_memo.h), which is exact because the
+// policy is a pure function of the state.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
+#include <vector>
 
 #include "core/cost_model.h"
 #include "core/exit_setting.h"
@@ -98,11 +103,20 @@ class Engine {
                                        Incumbent* incumbent = nullptr);
 
   /// Per-slot offload ratios for a whole fleet: out[i] =
-  /// policy.decide(states[i]) within 0 ULP, out resized to match. Off,
-  /// batch_eq20 is one policy.decide_batch call over the fleet; on,
-  /// bit-identical states are solved once (batch.h), reusing *scratch
-  /// across rounds when given. Thread-safe (caller-owned or local scratch
-  /// plus atomic counters); a scratch object serves one thread at a time.
+  /// policy.decide(states[i]) within 0 ULP. Off, batch_eq20 is one
+  /// policy.decide_batch call over the fleet; on, bit-identical states are
+  /// solved once (batch.h), reusing *scratch across rounds when given.
+  /// Thread-safe (caller-owned or local scratch plus atomic counters); a
+  /// scratch object serves one thread at a time. The simulation passes
+  /// only the devices its per-device memo missed (slot_memo.h), so the
+  /// batch counters count solves behind that memo. Throws
+  /// std::invalid_argument on a size mismatch.
+  void decide_fleet(const core::OffloadPolicy& policy,
+                    std::span<const core::DeviceSlotState> states,
+                    std::span<double> out,
+                    FleetScratch* scratch = nullptr) const;
+
+  /// Vector form: out resized to match, then the span form.
   void decide_fleet(const core::OffloadPolicy& policy,
                     const std::vector<core::DeviceSlotState>& states,
                     std::vector<double>& out,

@@ -91,6 +91,10 @@ RecordingObserver::RecordingObserver(ObsConfig config, std::size_t num_devices,
                                   "device leave/rejoin events");
     c_decisions_ = &registry_.counter("leime_slot_decisions_total",
                                       "per-device controller decisions");
+    c_decisions_solved_ = &registry_.counter(
+        "leime_slot_decisions_solved_total",
+        "decisions solved this slot (the rest reuse the device's previous "
+        "slot)");
     h_tct_ = &registry_.histogram("leime_task_tct_seconds",
                                   "task completion time of counted tasks",
                                   kLatencyBuckets);
@@ -385,6 +389,7 @@ void RecordingObserver::on_slot_decision(int device, double t,
     last_pred_[static_cast<std::size_t>(device)] = s.pred;
   if (metrics_on_) {
     c_decisions_->inc();
+    if (s.solved) c_decisions_solved_->inc();
     h_q_->observe(s.q);
     h_h_->observe(s.h);
     h_x_->observe(s.x);

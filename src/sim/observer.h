@@ -64,6 +64,10 @@ struct SlotTelemetry {
   /// The decision came out of a batched eq. 20 fleet update (the ratio may
   /// have been reused from a bit-identical peer state).
   bool batched = false;
+  /// The ratio was solved this slot. False when the device's state was
+  /// bit-identical to its previous slot's and the simulator reused that
+  /// slot's ratio (policy/slot_memo.h).
+  bool solved = true;
 };
 
 /// Hook interface. All methods have empty defaults so implementations
@@ -267,6 +271,7 @@ class RecordingObserver : public Observer {
   obs::Counter* c_edge_crashes_ = nullptr;
   obs::Counter* c_churn_ = nullptr;
   obs::Counter* c_decisions_ = nullptr;
+  obs::Counter* c_decisions_solved_ = nullptr;
   obs::Histogram* h_tct_ = nullptr;
   obs::Histogram* h_q_ = nullptr;
   obs::Histogram* h_h_ = nullptr;

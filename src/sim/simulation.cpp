@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "net/fabric.h"
 #include "policy/engine.h"
 #include "policy/prediction.h"
+#include "policy/slot_memo.h"
 #include "prof/profiler.h"
 #include "sim/event_queue.h"
 #include "sim/faults.h"
@@ -843,38 +845,43 @@ class Simulation {
     return s;
   }
 
-  /// Slot decisions for the whole fleet: observe every device, decide in
-  /// one batched call, then apply in device order. Observation and
-  /// decision touch no queues, consume no RNG and schedule no events, so
-  /// the phase split leaves every value and the event sequence as a
-  /// device-by-device loop would. Without an engine the policy's own
-  /// decide_batch runs (the eq. 19/20 vector lanes, bit-identical to
-  /// decide); with [policy] batch_eq20 the engine first dedups
-  /// bit-identical states (src/policy/batch.h).
+  /// Slot decisions for the whole fleet: observe every device, solve the
+  /// devices whose state changed since their previous slot in one batched
+  /// call, then apply in device order. Observation and decision touch no
+  /// queues, consume no RNG and schedule no events, so the phase split
+  /// leaves every value and the event sequence as a device-by-device loop
+  /// would. A device whose observed state is bit-identical to its previous
+  /// one keeps its previous x (policy/slot_memo.h, DESIGN.md §12.2): the
+  /// policy is a pure function of the state, and the partition, the
+  /// Lyapunov config and the policy are fixed for the life of the run.
+  /// Without an engine the policy's own decide_batch solves the misses
+  /// (the eq. 19/20 vector lanes, bit-identical to decide); with [policy]
+  /// batch_eq20 the engine first dedups bit-identical states among them
+  /// (src/policy/batch.h).
   void decide_all() {
     LEIME_PROF_SCOPE("leime.sim.decide");
     // Each decision epoch opens a fresh x-log slice; the coordinator
     // replays slices in (epoch, shard) order to rebuild the fleet-order
     // x_sum accumulation of the single-queue loop.
     if (role_.active()) x_log_.emplace_back();
-    // Sized once, not grown: growth by doubling would briefly hold two
-    // copies of a large fleet's states.
-    scratch_states_.resize(hi_ - lo_);
-    scratch_x_.resize(hi_ - lo_);
-    for (std::size_t i = lo_; i < hi_; ++i)
-      scratch_states_[i - lo_] = observe(i);
-    if (engine_)
-      engine_->decide_fleet(*policy_, scratch_states_, scratch_x_,
-                            &fleet_scratch_);
-    else
-      policy_->decide_batch(scratch_states_, scratch_x_);
-    for (std::size_t i = lo_; i < hi_; ++i)
-      apply_decision(i, scratch_states_[i - lo_], scratch_x_[i - lo_]);
+    memo_.round(
+        hi_ - lo_, [this](std::size_t k) { return observe(lo_ + k); },
+        [this](std::span<const core::DeviceSlotState> states,
+               std::span<double> x) {
+          if (engine_)
+            engine_->decide_fleet(*policy_, states, x, &fleet_scratch_);
+          else
+            policy_->decide_batch(states, x);
+        });
+    policy::SlotMemo::SolvedCursor cursor(memo_);
+    for (std::size_t k = 0; k < hi_ - lo_; ++k)
+      apply_decision(lo_ + k, memo_.state(k), memo_.x(k), cursor.solved(k));
   }
 
-  /// Per-device decision bookkeeping, in device order.
+  /// Per-device decision bookkeeping, in device order. `solved`: x came
+  /// from this round's solve rather than the device's memo entry.
   void apply_decision(std::size_t i, const core::DeviceSlotState& state,
-                      double x) {
+                      double x, bool solved) {
     auto& dev = *devices_[i];
     dev.x = x;
     if (faults_on_ && !state.edge_available && dev.x <= 0.0) {
@@ -903,6 +910,7 @@ class Simulation {
       // eq. 19 objective at unchosen x values without touching the run.
       tel.state = &state;
       tel.batched = engine_ != nullptr;
+      tel.solved = solved;
       obs_->on_slot_decision(static_cast<int>(i), queue_.now(), tel);
     }
   }
@@ -1414,10 +1422,10 @@ class Simulation {
   /// decide_batch, no dedup).
   policy::Engine* engine_ = nullptr;
   policy::Stats policy_stats_baseline_;
-  /// Decision-round scratch reused across slots, so rounds allocate
-  /// nothing in steady state.
-  std::vector<core::DeviceSlotState> scratch_states_;
-  std::vector<double> scratch_x_;
+  /// Decision-round buffers reused across slots, so rounds allocate
+  /// nothing in steady state: the per-device memo of last slot's states
+  /// and decisions, and the engine's dedup scratch.
+  policy::SlotMemo memo_;
   policy::FleetScratch fleet_scratch_;
   /// Sharded mode only: per-epoch offload decisions in device order (the
   /// coordinator's x_sum replay) and the gathered fleet-wide arrival
@@ -1603,7 +1611,7 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
   std::vector<int> counts(n, 0);
 
   {
-    LEIME_PROF_SCOPE("leime.sim.event_loop");
+    LEIME_PROF_SCOPE("leime.sim.shard_windows");
     for (;;) {
       // Adaptive barrier: the earliest pending event anywhere plus the
       // lookahead. Idle stretches (e.g. the post-generation drain) are

@@ -1,10 +1,14 @@
 // Zero-allocation gate for the per-slot decision round: once its scratch
 // has grown to the fleet's size, a batched eq. 19/20 round — with or
-// without the batch_eq20 dedup — performs no heap allocations (the
+// without the batch_eq20 dedup, and behind the per-device slot memo on
+// all-hit, all-miss and mixed rounds — performs no heap allocations (the
 // simulation keeps the scratch across slots; DESIGN.md §10, §12).
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/lyapunov.h"
@@ -13,6 +17,7 @@
 #include "models/zoo.h"
 #include "policy/batch.h"
 #include "policy/engine.h"
+#include "policy/slot_memo.h"
 #include "support/alloc_hooks.h"
 #include "util/rng.h"
 
@@ -68,6 +73,58 @@ TEST(DecideAlloc, SteadyStateDecisionRoundsAllocateNothing) {
     EXPECT_EQ(testsupport::allocation_count() - before, 0u) << name;
   }
   EXPECT_EQ(dedup.stats().batch_reused, 3u * 51u * 16u);
+}
+
+// Behind the per-device slot memo (policy/slot_memo.h), rounds after the
+// first — all-hit, all-miss and mixed, solved by the policy's
+// decide_batch or by the batch_eq20 engine — allocate nothing once an
+// all-miss round has grown the engine scratch.
+TEST(DecideAlloc, SteadyStateMemoRoundsAllocateNothing) {
+  const auto profile = models::make_inception_v3();
+  const auto part = core::make_partition(profile, {10, 14, profile.num_units()});
+  policy::Config on;
+  on.batch_eq20 = true;
+  const policy::Engine dedup(on);
+
+  for (const char* name : {"LEIME", "LEIME-balance", "LEIME+fallback"}) {
+    const auto policy = core::make_policy(name);
+    for (const bool engine_on : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (engine_on ? " / engine" : ""));
+      policy::FleetScratch scratch;
+      const auto solve = [&](std::span<const core::DeviceSlotState> s,
+                             std::span<double> x) {
+        if (engine_on)
+          dedup.decide_fleet(*policy, s, x, &scratch);
+        else
+          policy->decide_batch(s, x);
+      };
+      auto states = fleet(part);
+      const auto observe = [&](std::size_t k) { return states[k]; };
+      // Moves the queue of every device with k % stride == phase.
+      const auto churn = [&](std::size_t stride, std::size_t phase) {
+        for (std::size_t k = phase; k < states.size(); k += stride)
+          states[k].queue_device += 1.0;
+      };
+      policy::SlotMemo memo;
+      memo.round(states.size(), observe, solve);  // round 0
+      // An all-miss round that also splits the fleet's bit-identical pairs,
+      // so the engine's representative buffers reach the fleet's size.
+      churn(1, 0);
+      churn(4, 3);
+      EXPECT_EQ(memo.round(states.size(), observe, solve), states.size());
+
+      const std::uint64_t before = testsupport::allocation_count();
+      std::size_t solved = 0;
+      for (std::size_t round = 0; round < 30; ++round) {
+        if (round % 3 == 0) churn(1, 0);         // all miss
+        if (round % 3 == 1) churn(3, round % 2);  // mixed
+        solved += memo.round(states.size(), observe, solve);  // else all hit
+      }
+      EXPECT_EQ(testsupport::allocation_count() - before, 0u);
+      EXPECT_GT(solved, 10 * states.size());
+      EXPECT_LT(solved, 20 * states.size());
+    }
+  }
 }
 
 }  // namespace

@@ -126,6 +126,29 @@ TEST(Observer, MetricsMatchSimResult) {
   EXPECT_DOUBLE_EQ(tct.stats.max(), r.tct.max);
   EXPECT_DOUBLE_EQ(find_gauge(snap, "leime_edge_up").value, 1.0);
   EXPECT_GT(find_counter(snap, "leime_slot_decisions_total").value, 0u);
+  // The per-device slot memo (policy/slot_memo.h) solves at most every
+  // decision; the rest reuse the device's previous slot.
+  EXPECT_LE(find_counter(snap, "leime_slot_decisions_solved_total").value,
+            find_counter(snap, "leime_slot_decisions_total").value);
+}
+
+TEST(Observer, OneSlotRunSolvesEveryDecision) {
+  // A one-slot horizon has two decision rounds: the initial one and the
+  // tick closing the slot. The memo is empty for the first; for the second
+  // every device's arrival estimate moves from the initial
+  // max(1, rate·τ) = 1 to 0.5·(n + rate·τ) = 0.5·n + 0.25 for an integer
+  // arrival count n, never 1 again, so the memo has nothing to reuse.
+  auto cfg = base_scenario(3);
+  for (auto& d : cfg.devices) d.mean_rate = 0.5 / cfg.lyapunov.tau;
+  cfg.duration = cfg.lyapunov.tau;
+  cfg.warmup = 0.0;
+  cfg.obs.metrics = true;
+  const auto snap = run_scenario(cfg).metrics;
+  const auto decisions =
+      find_counter(snap, "leime_slot_decisions_total").value;
+  EXPECT_EQ(decisions, 2 * cfg.devices.size());
+  EXPECT_EQ(find_counter(snap, "leime_slot_decisions_solved_total").value,
+            decisions);
 }
 
 // The acceptance contract of the tracing pillar: running wild_faults.ini
