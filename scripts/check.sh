@@ -2,12 +2,14 @@
 # Repo verification gate.
 #
 #   1. Tier-1: configure + build + full ctest suite (ROADMAP.md contract).
-#   2. Zero-alloc: the steady-state allocation gates of the EventQueue
-#      and of the per-slot decision round (batched eq. 19/20 decisions,
-#      with and without the batch_eq20 dedup, behind the per-device slot
-#      memo), plus the memo's differential suite, run explicitly so the
-#      DESIGN.md §10 / §12.2 properties show up by name even though they
-#      also ride inside sim_test.
+#   2. Zero-alloc: the steady-state allocation gates of the EventQueue,
+#      of the per-slot decision round (batched eq. 19/20 decisions, with
+#      and without the batch_eq20 dedup, behind the per-device slot memo,
+#      split across the decision pool) and of a whole run (allocations
+#      that do not grow with the fleet), plus the memo's and the parallel
+#      rounds' differential suites, run explicitly so the DESIGN.md §10 /
+#      §12.2 / §12.3 properties show up by name even though they also
+#      ride inside sim_test.
 #   3. Policy: the differential/property suite proving the [policy] fast
 #      paths (memo cache, warm-started B&B, batched eq. 20) result-
 #      identical to the reference searches (DESIGN.md §12), run explicitly
@@ -22,10 +24,12 @@
 #   5. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
 #              sim tests with -DLEIME_SANITIZE=thread and re-run them,
 #              guarding the executor thread pool, policy::Engine locking,
-#              the provenance recorder and the shard barrier protocol
+#              the provenance recorder, the shard barrier protocol
 #              (ShardPool + the sharded window loop, via sim_test's
 #              Sharded*/ShardPool* suites and runtime_test's sharded
-#              golden) against data races. Skipped (with a notice) when
+#              golden) and the parallel decision rounds (sim_test's
+#              ParallelDecide.* and DecideAlloc.* suites) against data
+#              races. Skipped (with a notice) when
 #              the toolchain lacks libtsan.
 #
 # Env knobs: JOBS (parallel build jobs, default nproc),
@@ -41,9 +45,10 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== zero-alloc: EventQueue + decision-round gates, slot-memo suite =="
-./build/tests/sim_test \
-  --gtest_filter='EventQueueAlloc.*:DecideAlloc.*:DecideMemo.*'
+echo "== zero-alloc: EventQueue + decision-round + run gates, slot-memo and"
+echo "   parallel-decide suites =="
+./build/tests/sim_test --gtest_filter=\
+'EventQueueAlloc.*:DecideAlloc.*:RunAlloc.*:DecideMemo.*:ParallelDecide.*'
 
 echo "== policy: differential equivalence suite =="
 ./build/tests/policy_test

@@ -1,9 +1,11 @@
 // Fixed-size thread pool that runs experiment cells concurrently.
 //
-// Parallelism is strictly across runs: each DES run stays single-threaded
-// and owns its ScenarioConfig, so with per-cell seeds baked into the cells
-// the collected result set is bit-for-bit identical for any thread count —
-// only the telemetry fields (start/end/worker) reflect the schedule.
+// Parallelism is across runs: each cell owns its ScenarioConfig, so with
+// per-cell seeds baked into the cells the collected result set is
+// bit-for-bit identical for any thread count — only the telemetry fields
+// (start/end/worker) reflect the schedule. A cell may use threads of its
+// own (shard windows, parallel decision rounds); cell_threads splits the
+// host between workers, and no thread count changes a result.
 #pragma once
 
 #include <functional>
@@ -51,6 +53,15 @@ class Executor {
 
   /// The thread count a request resolves to on this host.
   static int resolve_threads(int requested);
+
+  /// The [shards] threads budget a cell runs with under `workers` executor
+  /// workers. A cell in auto mode (0) would resolve to
+  /// hardware_concurrency on its own — for its shard windows, or for its
+  /// parallel decision rounds at shards = 1 — so N workers would
+  /// oversubscribe the host N-fold; it gets hardware_concurrency / N
+  /// (at least 1) instead. Explicit counts are honored as-is. The budget
+  /// moves wall time only, never results.
+  static int cell_threads(int requested, int workers);
 
  private:
   ExecutorOptions opts_;

@@ -41,7 +41,9 @@
 //               time-window sharded execution of one simulation
 //               (sim/shard.h, DESIGN.md §15). Omitting the section (or
 //               shards = 1) keeps the single-queue path; results are
-//               byte-identical either way.
+//               byte-identical either way. threads is the run's thread
+//               budget: at shards = 1 it sizes the pool that solves a
+//               large fleet's slot decisions (DESIGN.md §12.3).
 #pragma once
 
 #include <string>

@@ -31,12 +31,14 @@ double shard_window(const ShardOptions& opts, double edge_cloud_lat) {
   return edge_cloud_lat;
 }
 
+int resolve_pool_threads(int threads) {
+  if (threads > 0) return threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw ? static_cast<int>(hw) : 1;
+}
+
 int resolve_shard_threads(const ShardOptions& opts, std::size_t shards) {
-  std::size_t t = static_cast<std::size_t>(opts.threads);
-  if (t == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    t = hw ? static_cast<std::size_t>(hw) : 1;
-  }
+  const auto t = static_cast<std::size_t>(resolve_pool_threads(opts.threads));
   return static_cast<int>(std::max<std::size_t>(1, std::min(t, shards)));
 }
 
@@ -59,10 +61,13 @@ ShardPool::~ShardPool() {
 
 void ShardPool::run_job(std::size_t i) {
   try {
-    (*fn_)(i);
+    call_(fn_, i);
   } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!error_) error_ = std::current_exception();
+    if (!error_ || i < error_job_) {
+      error_ = std::current_exception();
+      error_job_ = i;
+    }
   }
 }
 
@@ -85,16 +90,16 @@ void ShardPool::worker_loop() {
   }
 }
 
-void ShardPool::run(std::size_t jobs,
-                    const std::function<void(std::size_t)>& fn) {
+void ShardPool::run_erased(std::size_t jobs, void* fn, Call call) {
   if (jobs == 0) return;
   if (workers_.empty()) {
-    for (std::size_t i = 0; i < jobs; ++i) fn(i);
+    for (std::size_t i = 0; i < jobs; ++i) call(fn, i);
     return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    fn_ = &fn;
+    fn_ = fn;
+    call_ = call;
     jobs_ = jobs;
     next_.store(0, std::memory_order_relaxed);
     busy_ = workers_.size();
@@ -105,6 +110,7 @@ void ShardPool::run(std::size_t jobs,
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [&] { return busy_ == 0; });
   fn_ = nullptr;
+  call_ = nullptr;
   if (error_) {
     auto err = error_;
     error_ = nullptr;

@@ -26,9 +26,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -41,9 +42,12 @@ namespace leime::sim {
 /// golden shards=1 ≡ shards=N tests).
 struct ShardOptions {
   std::size_t shards = 1;  ///< event-queue partitions; 1 = single queue
-  /// Worker threads pumping shard windows; 0 resolves to
-  /// min(shards, hardware_concurrency). Thread count never affects
-  /// results, only wall time.
+  /// The run's worker-thread budget; 0 (auto) resolves to
+  /// hardware_concurrency. Sharded, it is the threads pumping shard
+  /// windows (clamped to the shard count). At shards = 1 it sizes the
+  /// pool that solves a large fleet's slot decisions in parallel
+  /// (DESIGN.md §12.3). Thread count never affects results, only wall
+  /// time.
   int threads = 0;
   /// Barrier window width in seconds; 0 derives the widest safe window
   /// (the edge-cloud propagation delay). Values above the safe bound are
@@ -115,10 +119,12 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
 /// edge_cloud_lat > 0 (validated by the sharded simulation).
 double shard_window(const ShardOptions& opts, double edge_cloud_lat);
 
-/// Worker threads for a sharded run: opts.threads, or
-/// hardware_concurrency() when 0 (auto), clamped to the shard count —
-/// more threads than shards can never help. Always >= 1; the resolved
-/// count moves wall time only, never results.
+/// A thread budget: `threads`, or hardware_concurrency() when 0 (auto).
+/// Always >= 1; the resolved count moves wall time only, never results.
+int resolve_pool_threads(int threads);
+
+/// Worker threads for a sharded run: opts.threads resolved, clamped to the
+/// shard count — more threads than shards can never help.
 int resolve_shard_threads(const ShardOptions& opts, std::size_t shards);
 
 /// A persistent pool of worker threads executing one parallel region per
@@ -126,7 +132,14 @@ int resolve_shard_threads(const ShardOptions& opts, std::size_t shards);
 /// and returns when all jobs finished. With threads <= 1 no threads are
 /// spawned and run() executes inline — the deterministic reference path
 /// (results never depend on which path executes; the pool only moves
-/// wall time). The first exception a job throws is rethrown from run().
+/// wall time).
+///
+/// Errors are deterministic: every job runs even when another throws, and
+/// run() rethrows the exception of the lowest-numbered failing job — the
+/// one the inline path, which stops at its first failure, throws too.
+///
+/// run() takes any callable by reference and never copies it, so a region
+/// allocates nothing however large the callable's captures are.
 class ShardPool {
  public:
   explicit ShardPool(int threads);
@@ -135,25 +148,37 @@ class ShardPool {
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
 
-  void run(std::size_t jobs, const std::function<void(std::size_t)>& fn);
+  template <class Fn>
+  void run(std::size_t jobs, Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    run_erased(jobs,
+               const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
+               [](void* f, std::size_t i) { (*static_cast<F*>(f))(i); });
+  }
 
   /// Worker threads actually spawned (0 = inline execution).
   int threads() const { return static_cast<int>(workers_.size()); }
 
  private:
+  using Call = void (*)(void*, std::size_t);
+
+  void run_erased(std::size_t jobs, void* fn, Call call);
   void worker_loop();
   void run_job(std::size_t i);
 
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;  ///< guarded by mu_
-  std::size_t jobs_ = 0;                                  ///< guarded by mu_
+  void* fn_ = nullptr;     ///< the region's callable, guarded by mu_
+  Call call_ = nullptr;    ///< invokes fn_, guarded by mu_
+  std::size_t jobs_ = 0;   ///< guarded by mu_
   std::atomic<std::size_t> next_{0};  ///< job claim counter
   std::size_t busy_ = 0;              ///< workers in the current region
   std::uint64_t generation_ = 0;      ///< bumped per run()
   bool stop_ = false;
-  std::exception_ptr error_;  ///< first job failure, guarded by mu_
+  /// The lowest-numbered failing job's exception, guarded by mu_.
+  std::exception_ptr error_;
+  std::size_t error_job_ = 0;
   std::vector<std::thread> workers_;
 };
 

@@ -21,6 +21,7 @@
 #include "sim/event_queue.h"
 #include "sim/faults.h"
 #include "sim/observer.h"
+#include "sim/parallel_decide.h"
 #include "sim/resources.h"
 #include "sim/shard.h"
 #include "util/check.h"
@@ -92,7 +93,10 @@ struct ShardRole {
 class Simulation {
  public:
   explicit Simulation(const ScenarioConfig& config, ShardRole role = {})
-      : cfg_(config), role_(role) {
+      : cfg_(config),
+        role_(role),
+        // Shards already occupy the run's threads: their rounds stay serial.
+        decide_(role.active() ? 1 : config.shards.threads) {
     if (cfg_.devices.empty())
       throw std::invalid_argument("ScenarioConfig: no devices");
     if (cfg_.duration <= 0.0 || cfg_.warmup < 0.0 ||
@@ -104,6 +108,7 @@ class Simulation {
       throw std::invalid_argument("ScenarioConfig: bad timeline_window");
     cfg_.faults.validate(cfg_.devices.size());
     cfg_.topology.validate(cfg_.devices.size());
+    cfg_.shards.validate();
     if (cfg_.topology.enabled() && cfg_.shared_uplink_bw > 0.0)
       throw std::invalid_argument(
           "ScenarioConfig: topology and shared_uplink_bw are mutually "
@@ -855,9 +860,10 @@ class Simulation {
   /// policy is a pure function of the state, and the partition, the
   /// Lyapunov config and the policy are fixed for the life of the run.
   /// Without an engine the policy's own decide_batch solves the misses
-  /// (the eq. 19/20 vector lanes, bit-identical to decide); with [policy]
-  /// batch_eq20 the engine first dedups bit-identical states among them
-  /// (src/policy/batch.h).
+  /// (the eq. 19/20 vector lanes, bit-identical to decide), across the
+  /// decision pool when there are enough of them (DESIGN.md §12.3); with
+  /// [policy] batch_eq20 the engine first dedups bit-identical states among
+  /// them (src/policy/batch.h), on this thread.
   void decide_all() {
     LEIME_PROF_SCOPE("leime.sim.decide");
     // Each decision epoch opens a fresh x-log slice; the coordinator
@@ -871,7 +877,7 @@ class Simulation {
           if (engine_)
             engine_->decide_fleet(*policy_, states, x, &fleet_scratch_);
           else
-            policy_->decide_batch(states, x);
+            decide_.solve(*policy_, states, x);
         });
     policy::SlotMemo::SolvedCursor cursor(memo_);
     for (std::size_t k = 0; k < hi_ - lo_; ++k)
@@ -1427,6 +1433,9 @@ class Simulation {
   /// and decisions, and the engine's dedup scratch.
   policy::SlotMemo memo_;
   policy::FleetScratch fleet_scratch_;
+  /// Solves a round's misses when no engine is set, in parallel for a
+  /// large fleet; serial in sharded mode.
+  ParallelDecide decide_;
   /// Sharded mode only: per-epoch offload decisions in device order (the
   /// coordinator's x_sum replay) and the gathered fleet-wide arrival
   /// counts the next kReallocate event allocates from.
@@ -1469,7 +1478,18 @@ SimResult Simulation::finalize_impl(const ScenarioConfig& cfg,
   std::vector<double> tcts;
   std::map<long long, std::pair<double, std::size_t>> windows;
   std::size_t exits[3] = {0, 0, 0};
-  std::vector<std::vector<double>> device_tcts(num_devices);
+  tcts.reserve(tasks.size());
+  // Per-device TCTs go to one flat array by a stable counting sort on the
+  // device, which keeps task order within each device: every device's
+  // slice then holds the values a per-device vector would, in the same
+  // order, without an allocation per device. by_device[d + 1] counts
+  // device d's TCTs here; it becomes slice bounds further down.
+  std::vector<std::size_t> by_device(num_devices + 1, 0);
+  // Post-warmup and completed: a negative t_complete is still in flight
+  // at drain end.
+  const auto counts = [](const TaskRecord& rec) {
+    return rec.counted && rec.t_complete >= 0.0;
+  };
   for (const auto& rec : tasks) {
     ++out.generated;
     if (rec.t_complete >= 0.0)
@@ -1477,12 +1497,11 @@ SimResult Simulation::finalize_impl(const ScenarioConfig& cfg,
     else
       ++out.in_flight;
     if (rec.parked) ++out.faults.parked;
-    if (!rec.counted) continue;
-    if (rec.t_complete < 0.0) continue;  // still in flight at drain end
+    if (!counts(rec)) continue;
     ++out.completed;
     const double tct = rec.t_complete - rec.t_arrive;
     tcts.push_back(tct);
-    device_tcts[rec.device].push_back(tct);
+    ++by_device[rec.device + 1];
     ++exits[rec.block - 1];
     const auto w =
         static_cast<long long>(rec.t_complete / cfg.timeline_window);
@@ -1507,14 +1526,35 @@ SimResult Simulation::finalize_impl(const ScenarioConfig& cfg,
   out.faults.retries = agg.fleet.retries;
   out.faults.local_fallbacks = agg.local_fallbacks;
   out.faults.fallback_slots = agg.fleet.fallback_slots;
+  // Sized once: a result outlives its run (sweeps keep hundreds of them),
+  // so its vectors carry no growth slack.
+  out.timeline.reserve(windows.size());
   for (const auto& [w, slot] : windows)
     out.timeline.push_back({(w + 0.5) * cfg.timeline_window,
                             slot.first / slot.second, slot.second});
   if (!cfg.task_trace_path.empty()) write_task_trace(cfg, tasks);
+
+  // Prefix sums: by_device[d] becomes the start of device d's slice, and
+  // the scatter advances it to the slice's end.
+  std::size_t largest = 0;
   for (std::size_t i = 0; i < num_devices; ++i) {
+    largest = std::max(largest, by_device[i + 1]);
+    by_device[i + 1] += by_device[i];
+  }
+  std::vector<double> device_tcts(tcts.size());
+  std::size_t next = 0;
+  for (const auto& rec : tasks)
+    if (counts(rec)) device_tcts[by_device[rec.device]++] = tcts[next++];
+  std::vector<double> sort_buffer;
+  sort_buffer.reserve(largest);
+  out.per_device.reserve(num_devices);
+  for (std::size_t i = 0; i < num_devices; ++i) {
+    const std::size_t lo = i ? by_device[i - 1] : 0;
+    const std::span<const double> slice(device_tcts.data() + lo,
+                                        by_device[i] - lo);
     SimResult::DeviceResult dr;
-    dr.tct = util::summarize(device_tcts[i]);
-    dr.completed = device_tcts[i].size();
+    dr.tct = util::summarize(slice, sort_buffer);
+    dr.completed = slice.size();
     dr.mean_offload_ratio =
         agg.x_count_dev[i]
             ? agg.x_sum_dev[i] / static_cast<double>(agg.x_count_dev[i])

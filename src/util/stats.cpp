@@ -43,16 +43,25 @@ void RunningStats::merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
 }
 
+namespace {
+
+/// percentile() on a sorted, non-empty sample.
+double sorted_percentile(std::span<const double> sorted, double q) {
+  if (sorted.size() == 1) return sorted.front();
+  const double rank = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const auto hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+}  // namespace
+
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) throw std::invalid_argument("percentile: empty sample");
   if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0,1]");
   std::sort(values.begin(), values.end());
-  if (values.size() == 1) return values.front();
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
+  return sorted_percentile(values, q);
 }
 
 double mean_of(const std::vector<double>& values) {
@@ -85,6 +94,12 @@ RobustSummary robust_summarize(const std::vector<double>& values) {
 }
 
 Summary summarize(const std::vector<double>& values) {
+  std::vector<double> sort_buffer;
+  return summarize(std::span<const double>(values), sort_buffer);
+}
+
+Summary summarize(std::span<const double> values,
+                  std::vector<double>& sort_buffer) {
   Summary out;
   if (values.empty()) return out;
   RunningStats s;
@@ -94,9 +109,13 @@ Summary summarize(const std::vector<double>& values) {
   out.stddev = s.stddev();
   out.min = s.min();
   out.max = s.max();
-  out.p50 = percentile(values, 0.50);
-  out.p95 = percentile(values, 0.95);
-  out.p99 = percentile(values, 0.99);
+  // percentile() sorts a copy in the same order with the same algorithm,
+  // so one sorted copy yields its values bit for bit (±0 included).
+  sort_buffer.assign(values.begin(), values.end());
+  std::sort(sort_buffer.begin(), sort_buffer.end());
+  out.p50 = sorted_percentile(sort_buffer, 0.50);
+  out.p95 = sorted_percentile(sort_buffer, 0.95);
+  out.p99 = sorted_percentile(sort_buffer, 0.99);
   return out;
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace leime::util {
@@ -71,8 +72,15 @@ struct Summary {
   double max = 0.0;
 };
 
-/// Computes a Summary; all fields zero for an empty sample.
+/// Computes a Summary; all fields zero for an empty sample. The
+/// percentiles are percentile()'s, bit for bit, from one sorted copy.
 Summary summarize(const std::vector<double>& values);
+
+/// The same Summary, sorting its copy in `sort_buffer`: a caller that
+/// summarizes many samples reuses one buffer instead of allocating a copy
+/// per sample.
+Summary summarize(std::span<const double> values,
+                  std::vector<double>& sort_buffer);
 
 /// Median with linear interpolation; 0 on empty input (no throw — timing
 /// code treats "no rounds" as a degenerate measurement, not an error).

@@ -123,5 +123,17 @@ TEST(Executor, ResolveThreads) {
   EXPECT_GE(Executor::resolve_threads(-1), 1);
 }
 
+TEST(Executor, AutoThreadCellsSplitTheHostBetweenWorkers) {
+  // Any cell in auto mode — sharded or not, since a single-queue cell
+  // solves large decision rounds on a pool of its own — gets
+  // hardware_concurrency / workers threads; explicit counts stay.
+  const int hw = Executor::resolve_threads(0);
+  for (const int workers : {1, 2, 3, hw, 2 * hw})
+    EXPECT_EQ(Executor::cell_threads(0, workers), std::max(1, hw / workers))
+        << workers << " workers";
+  EXPECT_EQ(Executor::cell_threads(3, 2), 3);
+  EXPECT_EQ(Executor::cell_threads(1, 8), 1);
+}
+
 }  // namespace
 }  // namespace leime::runtime

@@ -1,8 +1,9 @@
 // Zero-allocation gate for the per-slot decision round: once its scratch
 // has grown to the fleet's size, a batched eq. 19/20 round — with or
-// without the batch_eq20 dedup, and behind the per-device slot memo on
-// all-hit, all-miss and mixed rounds — performs no heap allocations (the
-// simulation keeps the scratch across slots; DESIGN.md §10, §12).
+// without the batch_eq20 dedup, behind the per-device slot memo on
+// all-hit, all-miss and mixed rounds, and split across the decision pool
+// — performs no heap allocations (the simulation keeps the scratch and
+// the pool across slots; DESIGN.md §10, §12).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,6 +19,7 @@
 #include "policy/batch.h"
 #include "policy/engine.h"
 #include "policy/slot_memo.h"
+#include "sim/parallel_decide.h"
 #include "support/alloc_hooks.h"
 #include "util/rng.h"
 
@@ -124,6 +126,50 @@ TEST(DecideAlloc, SteadyStateMemoRoundsAllocateNothing) {
       EXPECT_GT(solved, 10 * states.size());
       EXPECT_LT(solved, 20 * states.size());
     }
+  }
+}
+
+// A fleet above kParallelDecideMin, solved through the memo by a 4-thread
+// ParallelDecide: once the first round has created the pool, pooled
+// rounds (all-miss and mixed) and all-hit rounds allocate nothing.
+TEST(DecideAlloc, SteadyStatePooledRoundsAllocateNothing) {
+  const auto profile = models::make_inception_v3();
+  const auto part = core::make_partition(profile, {10, 14, profile.num_units()});
+  const auto base = fleet(part);
+  std::vector<core::DeviceSlotState> states;
+  while (states.size() < 2 * kParallelDecideMin) {
+    for (auto s : base) {
+      s.queue_device += static_cast<double>(states.size() % 97);
+      states.push_back(s);
+    }
+  }
+  const auto observe = [&](std::size_t k) { return states[k]; };
+  const auto churn = [&](std::size_t stride) {
+    for (std::size_t k = 0; k < states.size(); k += stride)
+      states[k].queue_edge += 1.0;
+  };
+
+  for (const char* name : {"LEIME", "LEIME-balance", "LEIME+fallback"}) {
+    SCOPED_TRACE(name);
+    const auto policy = core::make_policy(name);
+    ParallelDecide decide(4);
+    const auto solve = [&](std::span<const core::DeviceSlotState> s,
+                           std::span<double> x) {
+      decide.solve(*policy, s, x);
+    };
+    policy::SlotMemo memo;
+    memo.round(states.size(), observe, solve);  // round 0 creates the pool
+    EXPECT_EQ(decide.pool_threads(), 4);
+
+    const std::uint64_t before = testsupport::allocation_count();
+    std::size_t solved = 0;
+    for (std::size_t round = 0; round < 9; ++round) {
+      if (round % 3 == 0) churn(1);  // all miss
+      if (round % 3 == 1) churn(2);  // mixed, still above the threshold
+      solved += memo.round(states.size(), observe, solve);  // else all hit
+    }
+    EXPECT_EQ(testsupport::allocation_count() - before, 0u);
+    EXPECT_EQ(solved, 3 * states.size() + 3 * (states.size() / 2));
   }
 }
 

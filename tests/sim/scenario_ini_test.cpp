@@ -502,6 +502,23 @@ TEST(ScenarioIni, ShardsOmittedOrEmptyStaysSingleQueue) {
   EXPECT_DOUBLE_EQ(empty.config.shards.window_s, 0.0);
 }
 
+TEST(ScenarioIni, ThreadsWithoutShardsParsesAndKeepsResults) {
+  // At shards = 1, threads sizes the parallel decision pool (DESIGN.md
+  // §12.3): an execution choice that leaves every result unchanged.
+  const auto off = load_scenario(util::IniFile::parse_string(kFleet));
+  const auto on = load_scenario(util::IniFile::parse_string(
+      std::string(kFleet) + "[shards]\nthreads = 3\n"));
+  EXPECT_FALSE(on.config.shards.enabled());
+  EXPECT_EQ(on.config.shards.threads, 3);
+  const auto a = run_scenario(off.config);
+  const auto b = run_scenario(on.config);
+  EXPECT_EQ(a.generated, b.generated);
+  EXPECT_EQ(a.total_completed, b.total_completed);
+  EXPECT_EQ(a.tct.mean, b.tct.mean);
+  EXPECT_EQ(a.tct.p95, b.tct.p95);
+  EXPECT_EQ(a.mean_offload_ratio, b.mean_offload_ratio);
+}
+
 TEST(ScenarioIni, ShardsSectionValidation) {
   auto load = [](const std::string& extra) {
     return load_scenario(

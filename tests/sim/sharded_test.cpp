@@ -239,6 +239,23 @@ TEST(ShardPool, InlineWhenSingleThreadedAndRethrowsJobFailures) {
   EXPECT_EQ(ok.load(), 8);
 }
 
+TEST(ShardPool, RethrowsTheLowestFailingJobsException) {
+  // Every job throws its own message; whichever job fails first in time,
+  // run() must rethrow job 0's — the one the inline path throws — so a
+  // parallel region reports errors deterministically.
+  ShardPool pool(4);
+  for (int rep = 0; rep < 200; ++rep) {
+    try {
+      pool.run(16, [](std::size_t i) {
+        throw std::runtime_error("job " + std::to_string(i));
+      });
+      ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error& e) {
+      ASSERT_STREQ(e.what(), "job 0") << "repetition " << rep;
+    }
+  }
+}
+
 // ----------------------------------------- shards=1 ≡ shards=N identity
 
 TEST(ShardedSim, BitIdenticalOnPoissonFleet) {

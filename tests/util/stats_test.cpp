@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace leime::util {
 namespace {
@@ -149,6 +155,47 @@ TEST(Summarize, FullSummary) {
   EXPECT_DOUBLE_EQ(s.max, 100.0);
   EXPECT_NEAR(s.p50, 50.5, 1e-9);
   EXPECT_NEAR(s.p95, 95.05, 1e-9);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// summarize sorts one copy and reads every percentile from it; the values
+// must be percentile()'s bit for bit, with duplicates and signed zeros
+// (which compare equal, so only a same-order sort keeps their bits).
+TEST(Summarize, PercentilesAreBitIdenticalToPercentile) {
+  Rng rng(0x5A11);
+  std::vector<double> sort_buffer;
+  for (const std::size_t n : {1u, 2u, 3u, 1000u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> v;
+      for (std::size_t i = 0; i < n; ++i) {
+        const int pick = static_cast<int>(rng.uniform(0.0, 6.0));
+        if (pick == 0) v.push_back(0.0);
+        else if (pick == 1) v.push_back(-0.0);
+        else if (pick == 2 && !v.empty()) v.push_back(v.front());  // dup
+        else v.push_back(rng.uniform(-3.0, 3.0));
+      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " trial=" +
+                   std::to_string(trial));
+      const Summary s = summarize(v);
+      const Summary t = summarize(std::span<const double>(v), sort_buffer);
+      for (const Summary* got : {&s, &t}) {
+        EXPECT_EQ(bits(got->p50), bits(percentile(v, 0.50)));
+        EXPECT_EQ(bits(got->p95), bits(percentile(v, 0.95)));
+        EXPECT_EQ(bits(got->p99), bits(percentile(v, 0.99)));
+        EXPECT_EQ(got->count, n);
+      }
+      EXPECT_EQ(bits(s.mean), bits(t.mean));
+      EXPECT_EQ(bits(s.stddev), bits(t.stddev));
+      EXPECT_EQ(bits(s.min), bits(t.min));
+      EXPECT_EQ(bits(s.max), bits(t.max));
+    }
+  }
+  // The span overload leaves its input alone and reuses the buffer.
+  const std::vector<double> v = {3.0, -0.0, 1.0, 0.0};
+  summarize(std::span<const double>(v), sort_buffer);
+  EXPECT_EQ(bits(v[1]), bits(-0.0));
+  EXPECT_EQ(summarize(std::span<const double>(), sort_buffer).count, 0u);
 }
 
 TEST(Summarize, EmptyIsAllZero) {
