@@ -185,26 +185,6 @@ int main(int argc, char** argv) {
       warm.rates["evals_pct_of_cold"] =
           100.0 * static_cast<double>(warm_evals) /
           static_cast<double>(cold_evals);
-
-    // Memo cache on environment revisits: 8 distinct environments cycled
-    // 8 times each — the multi-edge association pattern. Only the 8 first
-    // visits pay a search; the remaining 56 replay cached results.
-    std::uint64_t hits = 0, misses = 0;
-    auto& cache = reporter.run_case("cache/repeat=64", [&] {
-      leime::policy::Config config;
-      config.memo_cache = true;
-      leime::policy::Engine engine(config);
-      for (int pass = 0; pass < 8; ++pass)
-        for (int i = 0; i < 8; ++i) {
-          const core::CostModel cm(profile,
-                                   trace[static_cast<std::size_t>(i) * 8]);
-          engine.exit_setting(cm);
-        }
-      hits = engine.stats().cache_hits;
-      misses = engine.stats().cache_misses;
-    });
-    cache.counters["cache_hits"] = hits;
-    cache.counters["cache_misses"] = misses;
   }
 
   // Per-slot offload decisions (eqs. 19/20) for one 4096-device fleet:

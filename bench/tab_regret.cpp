@@ -2,17 +2,17 @@
 // (DESIGN.md §14). Two questions, answered with the provenance pillar's
 // own accounting rather than bespoke bench plumbing:
 //
-//  1. Exit-setting: do the policy core's fast paths (warm-started B&B,
-//     memo cache) ever trade optimality for speed? They must not — the
-//     bit-identity contract says warm/memo results equal the reference
-//     search — so the oracle regret accounted on the micro_exit_setting
-//     churn=64 trace must be *exactly* zero on every decision, and every
-//     memo-hit record must equal its oracle cost to the last bit.
+//  1. Exit-setting: does the policy core's fast path (warm-started B&B)
+//     ever trade optimality for speed? It must not — the bit-identity
+//     contract says warm results equal the reference search — so the
+//     oracle regret accounted on the micro_exit_setting churn=64 trace
+//     must be *exactly* zero on every decision.
 //
-//  2. Offload: the batched eq. 20 balance rule is a heuristic, so its
-//     regret against core::minimize_drift_plus_penalty is genuinely
-//     nonzero — the bench measures how much, on a small LEIME fleet with
-//     batching on and 1-in-1 oracle sampling.
+//  2. Offload: per-slot decisions on a small LEIME fleet with 1-in-1
+//     oracle sampling, each checked against
+//     core::minimize_drift_plus_penalty. Regret must never be negative;
+//     under a heuristic such as the eq. 20 balance rule it can be
+//     positive, and the bench measures how much.
 //
 // Emits BENCH_tab_regret.json (bench::Reporter schema) for
 // scripts/bench_compare.py: decision/oracle/regret counters are pure
@@ -94,8 +94,6 @@ struct RegretAccount {
   std::vector<obs::DecisionRecord> window;
   std::uint64_t regret_zero = 0;      ///< oracle records with regret == 0
   std::uint64_t regret_positive = 0;  ///< oracle records with regret > 0
-  std::uint64_t memo_exact = 0;  ///< memo hits whose cost == oracle exactly
-  std::uint64_t memo_total = 0;
   std::uint64_t explored = 0;
 };
 
@@ -110,10 +108,6 @@ RegretAccount account(const obs::ProvenanceRecorder& rec) {
         ++a.regret_zero;
       else if (r.regret > 0.0)
         ++a.regret_positive;
-    }
-    if (r.path == obs::DecisionPath::kMemoHit) {
-      ++a.memo_total;
-      if (r.oracle && r.cost == r.oracle_cost) ++a.memo_exact;
     }
   }
   return a;
@@ -210,33 +204,10 @@ int main(int argc, char** argv) {
       warm.summary.paths[static_cast<std::size_t>(
           obs::DecisionPath::kWarmStart)];
 
-  // Memo cache on environment revisits (8 distinct environments x 8
-  // passes): 56 of 64 decisions replay cached results, and every one of
-  // them must equal its oracle cost to the last bit.
-  RegretAccount memo;
-  auto& c_memo = reporter.run_case("exit_memo/repeat=64", [&] {
-    policy::Config config;
-    config.memo_cache = true;
-    policy::Engine engine(config);
-    obs::ProvenanceRecorder rec(full_capture(64));
-    engine.attach_provenance(&rec);
-    for (int pass = 0; pass < 8; ++pass)
-      for (int i = 0; i < 8; ++i)
-        engine.exit_setting(
-            core::CostModel(profile, trace[static_cast<std::size_t>(i) * 8]));
-    memo = account(rec);
-  });
-  c_memo.counters["decisions"] = memo.summary.decisions;
-  c_memo.counters["oracle_runs"] = memo.summary.oracle_runs;
-  c_memo.counters["memo_hits"] = memo.memo_total;
-  c_memo.counters["memo_exact"] = memo.memo_exact;
-  c_memo.counters["regret_zero"] = memo.regret_zero;
-  c_memo.counters["regret_positive"] = memo.regret_positive;
-
-  // Offload: a small LEIME fleet with the batched eq. 20 balance rule on,
-  // every slot decision oracle-checked against the exact dpp minimizer.
-  RegretAccount batch;
-  auto& c_batch = reporter.run_case("offload_batch/fleet=8", [&] {
+  // Offload: a small LEIME fleet, every slot decision oracle-checked
+  // against the exact dpp minimizer.
+  RegretAccount offload;
+  auto& c_offload = reporter.run_case("offload/fleet=8", [&] {
     const auto squeeze = models::make_squeezenet();
     sim::ScenarioConfig cfg;
     cfg.partition = core::make_partition(squeeze, {4, 8, squeeze.num_units()});
@@ -250,29 +221,27 @@ int main(int argc, char** argv) {
     cfg.duration = 20.0;
     cfg.warmup = 2.0;
     cfg.seed = 20260808;
-    cfg.policy_core.batch_eq20 = true;
     sim::ObsConfig obs_cfg;
     obs_cfg.provenance = full_capture(1 << 12);
     sim::RecordingObserver obs(obs_cfg, cfg.devices.size());
     cfg.observer = &obs;
     sim::run_scenario(cfg);
-    batch = account(*obs.provenance());
+    offload = account(*obs.provenance());
   });
-  const auto& off_hist = batch.summary.kind_regret[static_cast<std::size_t>(
+  const auto& off_hist = offload.summary.kind_regret[static_cast<std::size_t>(
       obs::DecisionKind::kOffload)];
-  c_batch.counters["decisions"] = batch.summary.decisions;
-  c_batch.counters["oracle_runs"] = batch.summary.oracle_runs;
-  c_batch.counters["regret_zero"] = batch.regret_zero;
-  c_batch.counters["regret_positive"] = batch.regret_positive;
+  c_offload.counters["decisions"] = offload.summary.decisions;
+  c_offload.counters["oracle_runs"] = offload.summary.oracle_runs;
+  c_offload.counters["regret_zero"] = offload.regret_zero;
+  c_offload.counters["regret_positive"] = offload.regret_positive;
   if (off_hist.stats().count() > 0)
-    c_batch.rates["mean_regret"] =
+    c_offload.rates["mean_regret"] =
         off_hist.stats().sum() /
         static_cast<double>(off_hist.stats().count());
 
   add_row("exit_cold/churn=64", cold, obs::DecisionKind::kExitSetting);
   add_row("exit_warm/churn=64", warm, obs::DecisionKind::kExitSetting);
-  add_row("exit_memo/repeat=64", memo, obs::DecisionKind::kExitSetting);
-  add_row("offload_batch/fleet=8", batch, obs::DecisionKind::kOffload);
+  add_row("offload/fleet=8", offload, obs::DecisionKind::kOffload);
 
   std::cout << "oracle regret accounting (provenance pillar, 1-in-1 "
                "sampling):\n\n";
@@ -286,22 +255,20 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << path << "\n";
   }
 
-  // Acceptance: the exit-setting fast paths are regret-free (bit-identity
-  // contract) with every memo hit exactly equal to its oracle cost; the
-  // batched offload heuristic accounts regret that is never negative.
+  // Acceptance: the exit-setting searches are regret-free (bit-identity
+  // contract); offload decisions account regret that is never negative.
   bool ok = true;
-  for (const auto* a : {&cold, &warm, &memo}) {
+  for (const auto* a : {&cold, &warm}) {
     ok = ok && a->summary.decisions > 0 &&
          a->summary.oracle_runs == a->summary.decisions &&
          a->regret_zero == a->summary.oracle_runs && a->regret_positive == 0;
   }
   ok = ok && warm.explored < cold.explored;
-  ok = ok && memo.memo_total > 0 && memo.memo_exact == memo.memo_total;
-  ok = ok && batch.summary.oracle_runs > 0;
-  for (const auto& r : batch.window)
+  ok = ok && offload.summary.oracle_runs > 0;
+  for (const auto& r : offload.window)
     ok = ok && (!r.oracle || r.regret >= 0.0);
-  std::cout << (ok ? "OK: fast-path exit settings are regret-free, memo hits "
-                     "equal their oracle cost exactly, offload regret >= 0"
+  std::cout << (ok ? "OK: cold and warm-started exit settings are "
+                     "regret-free, offload regret >= 0"
                    : "WARNING: regret accounting violated a contract — "
                      "inspect the provenance window")
             << "\n";

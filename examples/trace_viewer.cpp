@@ -40,8 +40,8 @@
 // reads decision-provenance JSONL — either a [provenance] decisions_out
 // window or an SLO-fire flight-recorder dump (dump_out) — and prints one
 // row per recorded decision: the chosen exit combo (e1,e2,e3) or offload
-// ratio x, which fast path produced it (cold / memo_hit / warm_start /
-// direct / batch), candidates explored vs pruned, the runner-up margin,
+// ratio x, which path produced it (cold / warm_start / direct),
+// candidates explored vs pruned, the runner-up margin,
 // and the oracle regret column when the record was oracle-sampled.
 // Flight-recorder dumps render each SLO fire as its own banner with the
 // open spans that were in flight at the alert.

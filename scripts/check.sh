@@ -3,17 +3,17 @@
 #
 #   1. Tier-1: configure + build + full ctest suite (ROADMAP.md contract).
 #   2. Zero-alloc: the steady-state allocation gates of the EventQueue,
-#      of the per-slot decision round (batched eq. 19/20 decisions, with
-#      and without the batch_eq20 dedup, behind the per-device slot memo,
+#      of the per-slot decision round (lane-batched eq. 19/20 decisions,
+#      direct and through policy::Engine, behind the per-device slot memo,
 #      split across the decision pool) and of a whole run (allocations
 #      that do not grow with the fleet), plus the memo's and the parallel
 #      rounds' differential suites, run explicitly so the DESIGN.md §10 /
 #      §12.2 / §12.3 properties show up by name even though they also
 #      ride inside sim_test.
-#   3. Policy: the differential/property suite proving the [policy] fast
-#      paths (memo cache, warm-started B&B, batched eq. 20) result-
-#      identical to the reference searches (DESIGN.md §12), run explicitly
-#      even though it also rides inside ctest.
+#   3. Policy: the differential/property suite proving the policy core's
+#      warm-started B&B and fleet decisions result-identical to the
+#      reference searches (DESIGN.md §12), run explicitly even though it
+#      also rides inside ctest.
 #   4. Bench: re-measure micro_sim, micro_exit_setting, tab_topology,
 #      tab_latency_breakdown and tab_regret and gate them against
 #      bench/baselines/ with scripts/bench_compare.py (counters strict
@@ -23,7 +23,8 @@
 #      python3 is unavailable.
 #   5. TSan:   rebuild the parallel-runtime, shared-policy-engine, obs and
 #              sim tests with -DLEIME_SANITIZE=thread and re-run them,
-#              guarding the executor thread pool, policy::Engine locking,
+#              guarding the executor thread pool, policy::Engine's
+#              warm-start scratch,
 #              the provenance recorder, the shard barrier protocol
 #              (ShardPool + the sharded window loop, via sim_test's
 #              Sharded*/ShardPool* suites and runtime_test's sharded

@@ -100,30 +100,7 @@ if [[ "$net_found" -eq 0 ]]; then
   exit 2
 fi
 
-# Fourth pass: the leime_policy_* namespace (src/policy, DESIGN.md §12).
-# Engine::publish_metrics registers every counter as a plain literal, so
-# pass 1 already checks the alphabet; this pass additionally pins the
-# namespace convention — policy counters are monotone tallies, so each
-# must carry the Prometheus _total suffix — and fails loudly if the
-# registration block disappears (a refactor that silently drops the
-# counters would otherwise pass the lint).
-policy_pattern='^leime_policy_[a-z0-9_]+_total$'
-policy_found=0
-while IFS=: read -r file line name; do
-  policy_found=$((policy_found + 1))
-  if ! [[ "$name" =~ $policy_pattern ]]; then
-    echo "BAD  $file:$line  '$name' does not match $policy_pattern" >&2
-    fail=1
-  fi
-done < <(grep -rnoE '"leime_policy_[^"]*"' --include='*.cpp' --include='*.h' \
-           src bench examples | sed -E 's/"([^"]*)"$/\1/')
-
-if [[ "$policy_found" -eq 0 ]]; then
-  echo "lint_metric_names: no leime_policy_* counters found — lint is broken" >&2
-  exit 2
-fi
-
-# Fifth pass: the leime_attr_* / leime_slo_* namespaces (DESIGN.md §13).
+# Fourth pass: the leime_attr_* / leime_slo_* namespaces (DESIGN.md §13).
 # Attribution composes per-stage and per-component histogram names at
 # runtime (prefix + attr_stage_name/calib_component_name + suffix), so —
 # like the net pass — the fragments are linted: every literal in either
@@ -171,7 +148,7 @@ if [[ "$obs13_found" -eq 0 ]]; then
   exit 2
 fi
 
-# Sixth pass: the leime_prov_* / leime_regret_* namespaces (DESIGN.md §14).
+# Fifth pass: the leime_prov_* / leime_regret_* namespaces (DESIGN.md §14).
 # Provenance counters are monotone tallies (must carry _total) and the
 # regret histograms carry a unit suffix; all names are plain literals in
 # sim/observer.cpp, so beyond the alphabet this pass pins uniqueness —
@@ -212,6 +189,5 @@ fi
 echo "lint_metric_names: $found registered names all match $pattern"
 echo "lint_metric_names: $prof_found profiler names all match $prof_pattern, no duplicates"
 echo "lint_metric_names: $net_found leime_net_* fragments stay inside the registry alphabet"
-echo "lint_metric_names: $policy_found leime_policy_* counters all carry _total"
 echo "lint_metric_names: $obs13_found leime_attr_*/leime_slo_* fragments stay inside the registry alphabet, no duplicates"
 echo "lint_metric_names: $prov_name_found leime_prov_*/leime_regret_* names well-formed, no duplicates"

@@ -65,9 +65,8 @@ core::ExitCombo select_exits(ExitStrategy strategy,
                              const core::CostModel& cost_model);
 
 /// Engine-routed selector for callers that sweep many environments: kLeime
-/// goes through `engine` (memo cache / warm start via `incumbent` when the
-/// engine's knobs enable them; identical result either way), the heuristics
-/// are unchanged.
+/// goes through `engine` (warm start via `incumbent` when the engine enables
+/// it; identical result either way), the heuristics are unchanged.
 core::ExitCombo select_exits(ExitStrategy strategy,
                              const core::CostModel& cost_model,
                              policy::Engine& engine,

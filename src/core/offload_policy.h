@@ -16,11 +16,10 @@ namespace leime::core {
 ///
 /// Purity is load-bearing: decide() must be a pure function of the state's
 /// bits. The simulator reuses a device's previous decision whenever its
-/// slot state is bit-identical to the previous slot's (policy/slot_memo.h)
-/// and the batch_eq20 engine shares one solve across bit-identical states
-/// (policy/batch.h). A policy with hidden state — a counter, an RNG, a
-/// learned table updated per call — would make both return stale ratios
-/// and break the simulator's results.
+/// slot state is bit-identical to the previous slot's (policy/slot_memo.h).
+/// A policy with hidden state — a counter, an RNG, a learned table updated
+/// per call — would make that memo return stale ratios and break the
+/// simulator's results.
 class OffloadPolicy {
  public:
   virtual ~OffloadPolicy() = default;

@@ -77,10 +77,8 @@ const char* decision_kind_name(DecisionKind kind) {
 const char* decision_path_name(DecisionPath path) {
   switch (path) {
     case DecisionPath::kCold: return "cold";
-    case DecisionPath::kMemoHit: return "memo_hit";
     case DecisionPath::kWarmStart: return "warm_start";
     case DecisionPath::kDirect: return "direct";
-    case DecisionPath::kBatch: return "batch";
   }
   return "unknown";
 }

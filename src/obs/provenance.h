@@ -1,9 +1,9 @@
 // Decision provenance: per-decision audit records, oracle-regret accounting
 // and a bounded flight recorder (DESIGN.md §14).
 //
-// PR 7's fast paths (memo cache, warm-started B&B, batched eq. 20) are
-// proven result-identical to the reference searches, and PR 8 shows where
-// each millisecond went — but neither says *why* the policy decided what it
+// The policy core's warm-started B&B is proven result-identical to the
+// reference search, and the attribution layer (§13) shows where each
+// millisecond went — but neither says *why* the policy decided what it
 // did, or how far a per-slot heuristic (the eq. 20 balance rule) lands from
 // the exact drift-plus-penalty minimiser. This header holds the sim-free
 // pieces: one DecisionRecord per sampled exit-setting / offload evaluation
@@ -17,10 +17,11 @@
 // objective* (expected TCT for exit settings, eq. 19 drift-plus-penalty for
 // offload ratios), with the oracle cost clamped to min(oracle, chosen) so
 // regret ≥ 0 holds by construction even under floating-point re-association.
-// Exit-setting fast paths are bit-identical to the exhaustive scan by the
-// §12 contracts, so their regret is exactly 0 — the accounting is an online
-// watchdog for that proof; offload regret is genuinely nonzero whenever the
-// paper's decentralized balance rule (eq. 20) is driving.
+// Cold and warm-started exit-setting searches are bit-identical to the
+// exhaustive scan by the §12 contracts, so their regret is exactly 0 — the
+// accounting is an online watchdog for that proof; offload regret is
+// genuinely nonzero whenever the paper's decentralized balance rule
+// (eq. 20) is driving.
 //
 // Everything here is plain ints/doubles/strings on purpose (no core::
 // types): the recorder can be unit-tested synthetically and the summary can
@@ -80,14 +81,12 @@ inline constexpr int kDecisionKindCount = 2;
 /// Which implementation served the decision.
 enum class DecisionPath : std::uint8_t {
   kCold = 0,   ///< reference B&B search
-  kMemoHit,    ///< exit-setting memo cache replay
   kWarmStart,  ///< B&B seeded from the stream's incumbent
   kDirect,     ///< per-slot policy evaluated directly
-  kBatch,      ///< offload ratio reused from a bit-identical fleet state
 };
-inline constexpr int kDecisionPathCount = 5;
+inline constexpr int kDecisionPathCount = 3;
 
-/// Stable lowercase identifiers ("exit_setting", "memo_hit", ...); both
+/// Stable lowercase identifiers ("exit_setting", "warm_start", ...); both
 /// stay inside [a-z0-9_] so they can appear in composed names and JSON.
 const char* decision_kind_name(DecisionKind kind);
 const char* decision_path_name(DecisionPath path);

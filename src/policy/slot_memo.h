@@ -18,22 +18,49 @@
 // history could produce.
 #pragma once
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/lyapunov.h"
-#include "policy/batch.h"
 
 namespace leime::policy {
+
+// The memo reuses a decision whenever slot_state_bits_equal holds, so a
+// DeviceSlotState field it missed would serve stale ratios. A new field
+// changes the size: cover it below, then update this.
+static_assert(sizeof(void*) != 8 || sizeof(core::DeviceSlotState) == 96,
+              "slot_state_bits_equal must cover every DeviceSlotState field");
+
+/// Bit-exact equality of two slot states: field-wise IEEE bit comparison,
+/// never a raw memcmp (padding bytes are indeterminate). Partition identity
+/// is by pointer — conservative: distinct pointers never match.
+inline bool slot_state_bits_equal(const core::DeviceSlotState& a,
+                                  const core::DeviceSlotState& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return a.partition == b.partition &&
+         bits(a.device_flops) == bits(b.device_flops) &&
+         bits(a.edge_share_flops) == bits(b.edge_share_flops) &&
+         bits(a.bandwidth) == bits(b.bandwidth) &&
+         bits(a.latency) == bits(b.latency) &&
+         bits(a.queue_device) == bits(b.queue_device) &&
+         bits(a.queue_edge) == bits(b.queue_edge) &&
+         bits(a.arrivals) == bits(b.arrivals) &&
+         bits(a.uplink_backlog_bytes) == bits(b.uplink_backlog_bytes) &&
+         a.edge_available == b.edge_available &&
+         bits(a.config.V) == bits(b.config.V) &&
+         bits(a.config.tau) == bits(b.config.tau);
+}
 
 class SlotMemo {
  public:
   /// One decision round over devices [0, n). `observe(k)` returns device
   /// k's DeviceSlotState for this slot; `solve(states, out)` must fill
-  /// out[j] with the policy's decision for states[j] (decide_batch, or an
-  /// Engine::decide_fleet call). Afterwards state(k) is the observed state
+  /// out[j] with the policy's decision for states[j] (decide_batch).
+  /// Afterwards state(k) is the observed state
   /// and x(k) its decision, for every k. Returns how many states were
   /// solved.
   ///

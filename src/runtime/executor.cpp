@@ -21,9 +21,9 @@ int Executor::resolve_threads(int requested) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-int Executor::cell_threads(int requested, int workers) {
+int Executor::cell_threads(int requested, int workers, int hw) {
   if (requested != 0) return requested;
-  return std::max(1, resolve_threads(0) / std::max(1, workers));
+  return std::max(1, hw / std::max(1, workers));
 }
 
 std::vector<RunRecord> Executor::run(const ExperimentPlan& plan) const {
@@ -49,7 +49,8 @@ std::vector<RunRecord> Executor::run(std::vector<Cell> cells) const {
       opts_.metrics ? static_cast<std::size_t>(max_workers) : 0);
   // Resolved once per run: hardware_concurrency is a system call, and
   // most cells are far shorter than one.
-  const int auto_cell_threads = cell_threads(0, max_workers);
+  const int auto_cell_threads =
+      cell_threads(0, max_workers, resolve_threads(0));
 
   // Each worker claims cells off the shared counter and writes its record
   // into the cell's own slot, so collection order never depends on the

@@ -59,9 +59,12 @@ class Executor {
   /// hardware_concurrency on its own — for its shard windows, or for its
   /// parallel decision rounds at shards = 1 — so N workers would
   /// oversubscribe the host N-fold; it gets hardware_concurrency / N
-  /// (at least 1) instead. Explicit counts are honored as-is. The budget
-  /// moves wall time only, never results.
-  static int cell_threads(int requested, int workers);
+  /// (at least 1) instead, where `hw` is the host's hardware thread
+  /// count; the pool a cell starts is capped at
+  /// sim::ShardOptions::kMaxThreads (sim::resolve_pool_threads). Explicit
+  /// counts are honored as-is. The budget moves wall time only, never
+  /// results.
+  static int cell_threads(int requested, int workers, int hw);
 
  private:
   ExecutorOptions opts_;

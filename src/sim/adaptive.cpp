@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/exit_setting.h"
-#include "policy/engine.h"
 #include "sim/simulation.h"
 
 namespace leime::sim {
@@ -70,20 +69,13 @@ AdaptiveResult run_adaptive_scenario(const models::ModelProfile& profile,
   double tct_weighted = 0.0;
   core::ExitCombo deployed{};
   bool have_design = false;
-  // Per-epoch redesign is the policy core's natural consumer: the
-  // incumbent carries last epoch's combo into the next search (warm
-  // start), and slowly-varying traces repeat exact environments (memo
-  // cache). With base.policy_core at defaults the engine call *is* the
-  // cold branch-and-bound.
-  policy::Engine engine(base.policy_core);
-  policy::Incumbent incumbent;
   for (double start = 0.0; start + 1e-9 < base.duration;
        start += epoch_length) {
     const double len = std::min(epoch_length, base.duration - start);
     if (redesign || !have_design) {
       const auto env = epoch_environment(base, start, len);
       core::CostModel cost(profile, env);
-      deployed = engine.exit_setting(cost, &incumbent).combo;
+      deployed = core::branch_and_bound_exit_setting(cost).combo;
       have_design = true;
     }
     const auto partition = core::make_partition(profile, deployed);

@@ -316,8 +316,7 @@ FaultPlan parse_faults_section(const util::IniSection& section) {
   deg.detection_timeout =
       section.get_double("detection_timeout_s", deg.detection_timeout);
   deg.task_timeout = section.get_double("task_timeout_s", deg.task_timeout);
-  deg.max_retries =
-      static_cast<int>(section.get_int("max_retries", deg.max_retries));
+  deg.max_retries = section.get_int32("max_retries", deg.max_retries);
   deg.retry_backoff =
       section.get_double("retry_backoff_s", deg.retry_backoff);
   deg.probe_period = section.get_double("probe_period_s", deg.probe_period);

@@ -29,10 +29,9 @@ void validate(const MultiEdgeConfig& cfg) {
 
 /// Expected TCT of device d on edge e under the LEIME cost model, with the
 /// edge's capacity discounted by the FLOP load already assigned to it.
-/// Routed through the policy engine: same-class devices probing the same
-/// edge repeat exact environments, so the memo cache answers most of the
-/// association loop's searches; with default knobs the call is the plain
-/// cold branch-and-bound.
+/// Routed through the policy engine: with warm_start on, the previous
+/// (device, edge) search's combo seeds this one; with default knobs the
+/// call is the plain cold branch-and-bound.
 double expected_tct_on_edge(const MultiEdgeConfig& cfg,
                             const models::ModelProfile& profile, int d, int e,
                             double assigned_rate, policy::Engine& engine,
@@ -153,8 +152,8 @@ MultiEdgeResult run_multi_edge(const MultiEdgeConfig& config,
   out.assignment = associate(config, profile, policy);
   const auto n_edge = config.edges.size();
 
-  // Per-cell ME-DNN designs share one engine: similar cells hit the memo
-  // cache, and the previous cell's combo warm-starts the next search.
+  // Per-cell ME-DNN designs share one engine: with warm_start on, the
+  // previous cell's combo warm-starts the next search.
   policy::Engine engine(config.policy_core);
   policy::Incumbent incumbent;
   double tct_weighted = 0.0;
@@ -190,7 +189,6 @@ MultiEdgeResult run_multi_edge(const MultiEdgeConfig& config,
     core::CostModel cm(profile, env);
     cell.partition = core::make_partition(
         profile, engine.exit_setting(cm, &incumbent).combo);
-    cell.policy_core = config.policy_core;
 
     cell.edge_flops = config.edges[e].flops;
     cell.cloud_flops = config.cloud_flops;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "models/profile.h"
+#include "policy/engine.h"
 #include "sim/scenario.h"
 
 namespace leime::sim {
@@ -44,12 +45,11 @@ struct MultiEdgeConfig {
   double warmup = 5.0;
   std::uint64_t seed = 42;
 
-  /// Policy-core fast paths for the association/design B&B loops — the
+  /// Policy-core options for the association/design B&B loops — the
   /// LEIME-aware association runs one exit-setting search per (device,
-  /// edge) pair, and devices of the same class probing the same edge
-  /// repeat exact environments, so the memo cache collapses them. Defaults
-  /// off (reference behaviour); results are identical either way
-  /// (tests/policy/policy_diff_test.cpp).
+  /// edge) pair, and warm_start seeds each from the previous pair's
+  /// setting. Defaults off (reference behaviour); results are identical
+  /// either way (tests/policy/policy_diff_test.cpp).
   policy::Config policy_core;
 };
 

@@ -432,8 +432,7 @@ void RecordingObserver::on_slot_decision(int device, double t,
       r.device = device;
       r.cls = class_names_[class_of(device)];
       r.kind = obs::DecisionKind::kOffload;
-      r.path = s.batched ? obs::DecisionPath::kBatch
-                         : obs::DecisionPath::kDirect;
+      r.path = obs::DecisionPath::kDirect;
       r.bandwidth = st.bandwidth;
       r.edge_flops = st.edge_share_flops;
       r.queue_device = st.queue_device;

@@ -61,9 +61,6 @@ struct SlotTelemetry {
   /// without the simulator paying for it when provenance is off. Null when
   /// the caller has no state to share.
   const core::DeviceSlotState* state = nullptr;
-  /// The decision came out of a batched eq. 20 fleet update (the ratio may
-  /// have been reused from a bit-identical peer state).
-  bool batched = false;
   /// The ratio was solved this slot. False when the device's state was
   /// bit-identical to its previous slot's and the simulator reused that
   /// slot's ratio (policy/slot_memo.h).

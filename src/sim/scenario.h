@@ -11,7 +11,6 @@
 #include "core/partition.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
-#include "policy/engine.h"
 #include "sim/faults.h"
 #include "sim/observer.h"
 #include "sim/shard.h"
@@ -69,13 +68,6 @@ struct ScenarioConfig {
   double fixed_ratio = -1.0;
 
   core::LyapunovConfig lyapunov;
-
-  /// Policy-core fast paths (src/policy, the `[policy]` INI section):
-  /// exit-setting memo cache, warm-started B&B and batched eq. 20 fleet
-  /// updates. All default off — the byte-identical golden configuration;
-  /// the on-configuration is proven result-identical by
-  /// tests/policy/policy_diff_test.cpp and the golden invariance test.
-  policy::Config policy_core;
 
   /// When > 0, the edge's per-device docker shares are recomputed every
   /// this many seconds from the *observed* arrival rates (eq. 27 on live

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <stdexcept>
+#include <string>
 
 #include "core/exit_setting.h"
 #include "models/profile_io.h"
 #include "models/zoo.h"
-#include "policy/engine.h"
 
 namespace leime::sim {
 
@@ -144,7 +144,7 @@ net::TopologyConfig parse_topology_section(const util::IniSection& section) {
   }
 
   net::TopologyConfig topo;
-  topo.aps = static_cast<int>(section.get_int("aps", 0));
+  topo.aps = section.get_int32("aps", 0);
   // aps = 0 (or unset) disables the fabric; the remaining keys are ignored
   // so a disabled section stays byte-identical to no section at all.
   if (topo.aps <= 0) return topo;
@@ -196,50 +196,17 @@ ShardOptions parse_shards_section(const util::IniSection& section) {
   if (count < 1)
     throw std::invalid_argument("[shards] shards must be >= 1");
   shards.shards = static_cast<std::size_t>(count);
-  shards.threads = static_cast<int>(section.get_int("threads", 0));
+  shards.threads = section.get_int32("threads", 0);
   shards.window_s = util::ms(section.get_double("window_ms", 0.0));
   try {
     shards.validate();
   } catch (const std::exception& e) {
     throw std::invalid_argument(std::string("[shards] ") + e.what());
   }
+  if (shards.threads > ShardOptions::kMaxThreads)
+    throw std::invalid_argument("[shards] threads must be <= " +
+                                std::to_string(ShardOptions::kMaxThreads));
   return shards;
-}
-
-policy::Config parse_policy_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"memo_cache", "warm_start", "batch_eq20",
-                                 "cache_capacity", "quant_per_octave"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[policy] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
-
-  policy::Config pol;
-  pol.memo_cache = section.get_bool("memo_cache", false);
-  pol.warm_start = section.get_bool("warm_start", false);
-  pol.batch_eq20 = section.get_bool("batch_eq20", false);
-  const long long capacity =
-      section.get_int("cache_capacity",
-                      static_cast<long long>(pol.cache_capacity));
-  if (capacity < 1)
-    throw std::invalid_argument("[policy] cache_capacity must be >= 1");
-  pol.cache_capacity = static_cast<std::size_t>(capacity);
-  pol.quant_per_octave =
-      static_cast<int>(section.get_int("quant_per_octave",
-                                       pol.quant_per_octave));
-  try {
-    pol.validate();
-  } catch (const std::exception& e) {
-    throw std::invalid_argument(std::string("[policy] ") + e.what());
-  }
-  return pol;
 }
 
 void apply_obs_overrides(ObsConfig& obs, const std::string& metrics_out,
@@ -300,7 +267,7 @@ IniScenario load_scenario(const util::IniFile& ini) {
 
   IniScenario out{resolve_model_name(sc.get("model", "inception")),
                   ScenarioConfig{}, {}, 0.0,
-                  static_cast<int>(sc.get_int("replications", 1))};
+                  sc.get_int32("replications", 1)};
   if (out.replications < 1)
     throw std::invalid_argument("scenario: replications must be >= 1");
 
@@ -324,14 +291,18 @@ IniScenario load_scenario(const util::IniFile& ini) {
   if (const auto* prov = ini.find("provenance"))
     cfg.obs.provenance = parse_provenance_section(*prov);
 
-  if (const auto* pol = ini.find("policy"))
-    cfg.policy_core = parse_policy_section(*pol);
+  // [policy] no longer configures anything: fail loudly rather than drop a
+  // stale section the way unknown sections are dropped.
+  if (ini.find("policy"))
+    throw std::invalid_argument(
+        "scenario: the [policy] section was removed; delete it (exit "
+        "setting and offload decisions always run the reference searches)");
 
   if (const auto* sh = ini.find("shards"))
     cfg.shards = parse_shards_section(*sh);
 
   if (const auto* rt = ini.find("runtime")) {
-    out.threads = static_cast<int>(rt->get_int("threads", 1));
+    out.threads = rt->get_int32("threads", 1);
     if (out.threads < 0)
       throw std::invalid_argument("runtime: threads must be >= 0");
     const auto seed_mode = rt->get("seed_mode", "split");
@@ -367,10 +338,7 @@ IniScenario load_scenario(const util::IniFile& ini) {
   env.net.edge_cloud_bw = cfg.edge_cloud_bw;
   env.net.edge_cloud_lat = cfg.edge_cloud_lat;
   core::CostModel cm(out.profile, env);
-  // Routed through the policy engine so [policy] fast paths also cover the
-  // design-time search; with the section absent this is the plain cold B&B.
-  policy::Engine design_engine(cfg.policy_core);
-  const auto setting = design_engine.exit_setting(cm);
+  const auto setting = core::branch_and_bound_exit_setting(cm);
   cfg.partition = core::make_partition(out.profile, setting.combo);
 
   out.config = std::move(cfg);

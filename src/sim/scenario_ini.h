@@ -33,17 +33,16 @@
 //               queue_limit_kb — the routed multi-hop network fabric
 //               (net/topology.h). Omitting the section (or aps = 0) keeps
 //               the flat point-to-point links.
-//   [policy]    (optional) memo_cache / warm_start / batch_eq20 /
-//               cache_capacity / quant_per_octave — the policy core's
-//               opt-in fast paths (policy/engine.h). Omitting the section
-//               keeps the reference algorithms and byte-identical output.
+// A [policy] section is rejected: its keys configured exit-setting and
+// offload fast paths that have been removed (DESIGN.md §12).
 //   [shards]    (optional) shards / threads / window_ms — conservative-
 //               time-window sharded execution of one simulation
 //               (sim/shard.h, DESIGN.md §15). Omitting the section (or
 //               shards = 1) keeps the single-queue path; results are
 //               byte-identical either way. threads is the run's thread
 //               budget: at shards = 1 it sizes the pool that solves a
-//               large fleet's slot decisions (DESIGN.md §12.3).
+//               large fleet's slot decisions (DESIGN.md §12.3). Values
+//               above ShardOptions::kMaxThreads (256) are rejected.
 #pragma once
 
 #include <string>
@@ -94,10 +93,6 @@ obs::ProvenanceConfig parse_provenance_section(const util::IniSection& section);
 /// Parses a [topology] section (throws on unknown keys; range validation
 /// against the device count happens later via TopologyConfig::validate).
 net::TopologyConfig parse_topology_section(const util::IniSection& section);
-
-/// Parses a [policy] section (throws on unknown keys or out-of-range
-/// values via policy::Config::validate).
-policy::Config parse_policy_section(const util::IniSection& section);
 
 /// Parses a [shards] section (throws on unknown keys or out-of-range
 /// values via ShardOptions::validate).

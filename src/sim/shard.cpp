@@ -32,9 +32,13 @@ double shard_window(const ShardOptions& opts, double edge_cloud_lat) {
 }
 
 int resolve_pool_threads(int threads) {
-  if (threads > 0) return threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw ? static_cast<int>(hw) : 1;
+  return resolve_pool_threads(threads, std::thread::hardware_concurrency());
+}
+
+int resolve_pool_threads(int threads, unsigned hw) {
+  constexpr auto kMax = static_cast<unsigned>(ShardOptions::kMaxThreads);
+  if (threads > 0) return std::min(threads, ShardOptions::kMaxThreads);
+  return hw ? static_cast<int>(std::min(hw, kMax)) : 1;
 }
 
 int resolve_shard_threads(const ShardOptions& opts, std::size_t shards) {

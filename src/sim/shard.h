@@ -49,6 +49,12 @@ struct ShardOptions {
   /// (DESIGN.md §12.3). Thread count never affects results, only wall
   /// time.
   int threads = 0;
+  /// Largest worker pool a run starts. resolve_pool_threads clamps any
+  /// budget to it, explicit or auto (a host with more hardware threads
+  /// still runs), and the `[shards] threads` INI key rejects values above
+  /// it, so a typo such as 100000 fails at load instead of exhausting the
+  /// host.
+  static constexpr int kMaxThreads = 256;
   /// Barrier window width in seconds; 0 derives the widest safe window
   /// (the edge-cloud propagation delay). Values above the safe bound are
   /// clamped to it — wider windows would deliver hub events into a
@@ -119,9 +125,14 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t n,
 /// edge_cloud_lat > 0 (validated by the sharded simulation).
 double shard_window(const ShardOptions& opts, double edge_cloud_lat);
 
-/// A thread budget: `threads`, or hardware_concurrency() when 0 (auto).
-/// Always >= 1; the resolved count moves wall time only, never results.
+/// A thread budget: `threads`, or hardware_concurrency() when 0 (auto),
+/// clamped to [1, ShardOptions::kMaxThreads]; the resolved count moves
+/// wall time only, never results.
 int resolve_pool_threads(int threads);
+
+/// resolve_pool_threads on a host reporting `hw` hardware threads
+/// (0 = unknown).
+int resolve_pool_threads(int threads, unsigned hw);
 
 /// Worker threads for a sharded run: opts.threads resolved, clamped to the
 /// shard count — more threads than shards can never help.

@@ -14,7 +14,6 @@
 #include "core/offload_policy.h"
 #include "core/resource_alloc.h"
 #include "net/fabric.h"
-#include "policy/engine.h"
 #include "policy/prediction.h"
 #include "policy/slot_memo.h"
 #include "prof/profiler.h"
@@ -74,8 +73,8 @@ struct DeviceRuntime {
 };
 
 /// A shard's identity inside one sharded run (DESIGN.md §15): its
-/// contiguous device range [lo, hi), the outbox it records edge->cloud
-/// admissions into, and the policy engine shared across shard threads.
+/// contiguous device range [lo, hi) and the outbox it records edge->cloud
+/// admissions into.
 /// The default-constructed role is the classic single-queue simulation
 /// over the whole fleet — every code path below treats that as lo = 0,
 /// hi = N, so the two modes share one implementation.
@@ -85,7 +84,6 @@ struct ShardRole {
   std::size_t lo = 0;
   std::size_t hi = 0;
   std::vector<HubRequest>* outbox = nullptr;  ///< coordinator-owned
-  policy::Engine* engine = nullptr;  ///< shared, batch_eq20 only
 
   bool active() const { return num_shards > 1; }
 };
@@ -142,15 +140,6 @@ class Simulation {
           cfg_.obs, devices_.size(), std::move(device_classes));
       obs_ = owned_obs_.get();
     }
-    if (obs_ && policy_engine_) {
-      // Exit-setting decisions the engine takes while this run's observer
-      // is live land in the same flight recorder as the offload decisions.
-      if (auto* rec = dynamic_cast<RecordingObserver*>(obs_))
-        policy_engine_->attach_provenance(rec->provenance());
-    }
-    // Per-run counter baseline: a future embedder sharing one engine
-    // across runs publishes each run's own delta, not the accumulation.
-    if (policy_engine_) policy_stats_baseline_ = policy_engine_->stats();
     if (obs_ && fabric_) {
       // Per-hop spans feed the attribution ledger. The tag packs
       // (attempt, task id); spans of paths the task has since abandoned
@@ -216,12 +205,6 @@ class Simulation {
     SimResult out = finalize();
     out.events_executed = queue_.executed();
     if (owned_obs_) {
-      // Policy-core telemetry rides the metrics snapshot only when both
-      // layers are opted in; with the engine off no leime_policy_* names
-      // register, keeping policy-off output byte-identical.
-      if (policy_engine_)
-        policy_engine_->publish_metrics(owned_obs_->registry(),
-                                        policy_stats_baseline_);
       out.metrics = owned_obs_->registry().snapshot();
       out.attribution = owned_obs_->attribution_summary();
       out.slo = owned_obs_->slo_summary();
@@ -473,15 +456,6 @@ class Simulation {
       policy_ = std::make_unique<core::FixedRatioPolicy>(cfg_.fixed_ratio);
     else
       policy_ = core::make_policy(cfg_.policy);
-    // The engine is only instantiated for the batched fleet path; the
-    // exit-setting fast paths act at design time (scenario_ini, adaptive,
-    // multi_edge), before a Simulation exists.
-    if (cfg_.policy_core.batch_eq20 && !role_.active())
-      policy_engine_ = std::make_unique<policy::Engine>(cfg_.policy_core);
-    // Shards share one thread-safe coordinator-owned engine (its batched
-    // eq. 20 path is 0-ULP batch-invariant, so partitioning the fleet
-    // across shards leaves every decision bit-identical).
-    engine_ = role_.active() ? role_.engine : policy_engine_.get();
 
     x_sum_dev_.assign(devices_.size(), 0.0);
     x_count_dev_.assign(devices_.size(), 0);
@@ -859,11 +833,9 @@ class Simulation {
   /// one keeps its previous x (policy/slot_memo.h, DESIGN.md §12.2): the
   /// policy is a pure function of the state, and the partition, the
   /// Lyapunov config and the policy are fixed for the life of the run.
-  /// Without an engine the policy's own decide_batch solves the misses
-  /// (the eq. 19/20 vector lanes, bit-identical to decide), across the
-  /// decision pool when there are enough of them (DESIGN.md §12.3); with
-  /// [policy] batch_eq20 the engine first dedups bit-identical states among
-  /// them (src/policy/batch.h), on this thread.
+  /// The policy's own decide_batch solves the misses (the eq. 19/20 vector
+  /// lanes, bit-identical to decide), across the decision pool when there
+  /// are enough of them (DESIGN.md §12.3).
   void decide_all() {
     LEIME_PROF_SCOPE("leime.sim.decide");
     // Each decision epoch opens a fresh x-log slice; the coordinator
@@ -873,12 +845,7 @@ class Simulation {
     memo_.round(
         hi_ - lo_, [this](std::size_t k) { return observe(lo_ + k); },
         [this](std::span<const core::DeviceSlotState> states,
-               std::span<double> x) {
-          if (engine_)
-            engine_->decide_fleet(*policy_, states, x, &fleet_scratch_);
-          else
-            decide_.solve(*policy_, states, x);
-        });
+               std::span<double> x) { decide_.solve(*policy_, states, x); });
     policy::SlotMemo::SolvedCursor cursor(memo_);
     for (std::size_t k = 0; k < hi_ - lo_; ++k)
       apply_decision(lo_ + k, memo_.state(k), memo_.x(k), cursor.solved(k));
@@ -915,7 +882,6 @@ class Simulation {
       // Borrowed for the duration of the hook: provenance re-evaluates the
       // eq. 19 objective at unchosen x values without touching the run.
       tel.state = &state;
-      tel.batched = engine_ != nullptr;
       tel.solved = solved;
       obs_->on_slot_decision(static_cast<int>(i), queue_.now(), tel);
     }
@@ -1421,20 +1387,12 @@ class Simulation {
   std::unique_ptr<net::Fabric> fabric_;  ///< topology mode; else nullptr
   std::unique_ptr<FifoProcessor> cloud_;
   std::unique_ptr<core::OffloadPolicy> policy_;
-  /// Set iff cfg_.policy_core.batch_eq20.
-  std::unique_ptr<policy::Engine> policy_engine_;
-  /// The engine decisions go through: the shared coordinator engine in
-  /// sharded mode, policy_engine_.get() otherwise (null = the policy's own
-  /// decide_batch, no dedup).
-  policy::Engine* engine_ = nullptr;
-  policy::Stats policy_stats_baseline_;
   /// Decision-round buffers reused across slots, so rounds allocate
   /// nothing in steady state: the per-device memo of last slot's states
-  /// and decisions, and the engine's dedup scratch.
+  /// and decisions.
   policy::SlotMemo memo_;
-  policy::FleetScratch fleet_scratch_;
-  /// Solves a round's misses when no engine is set, in parallel for a
-  /// large fleet; serial in sharded mode.
+  /// Solves a round's misses, in parallel for a large fleet; serial in
+  /// sharded mode.
   ParallelDecide decide_;
   /// Sharded mode only: per-epoch offload decisions in device order (the
   /// coordinator's x_sum replay) and the gathered fleet-wide arrival
@@ -1613,14 +1571,6 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
   const double window = shard_window(cfg.shards, cfg.edge_cloud_lat);
   const double inf = std::numeric_limits<double>::infinity();
 
-  // One thread-safe engine shared by every shard thread (batch_eq20 only).
-  std::unique_ptr<policy::Engine> engine;
-  policy::Stats engine_baseline;
-  if (cfg.policy_core.batch_eq20) {
-    engine = std::make_unique<policy::Engine>(cfg.policy_core);
-    engine_baseline = engine->stats();
-  }
-
   std::vector<std::vector<HubRequest>> outboxes(S);
   std::vector<std::unique_ptr<Simulation>> shards;
   shards.reserve(S);
@@ -1633,7 +1583,6 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
     role.lo = range.first;
     role.hi = range.second;
     role.outbox = &outboxes[s];
-    role.engine = engine.get();
     for (std::size_t i = range.first; i < range.second; ++i) owner[i] = s;
     shards.push_back(std::make_unique<Simulation>(cfg, role));
   }
@@ -1747,7 +1696,6 @@ SimResult run_scenario_sharded(const ScenarioConfig& cfg) {
     RecordingObserver merged(cfg.obs, n, std::move(device_classes));
     for (const auto& sh : shards)
       merged.registry().absorb(sh->obs_snapshot());
-    if (engine) engine->publish_metrics(merged.registry(), engine_baseline);
     out.metrics = merged.registry().snapshot();
     merged.export_outputs();
   }

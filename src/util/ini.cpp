@@ -1,6 +1,7 @@
 #include "util/ini.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -49,6 +50,14 @@ double IniSection::get_double(const std::string& key, double fallback) const {
 
 long long IniSection::get_int(const std::string& key) const {
   const double v = get_double(key);
+  // Casting a double outside long long's range (or NaN) is undefined
+  // behaviour, so the range check comes first. 2^63 is exact in a double,
+  // and every double in [-2^63, 2^63) converts.
+  constexpr double kLimit = 9223372036854775808.0;
+  if (!(v >= -kLimit && v < kLimit))
+    throw std::invalid_argument("ini: [" + name + "] key '" + key +
+                                "' is out of integer range: '" + get(key) +
+                                "'");
   const auto i = static_cast<long long>(v);
   if (static_cast<double>(i) != v)
     throw std::invalid_argument("ini: [" + name + "] key '" + key +
@@ -59,6 +68,15 @@ long long IniSection::get_int(const std::string& key) const {
 long long IniSection::get_int(const std::string& key,
                               long long fallback) const {
   return has(key) ? get_int(key) : fallback;
+}
+
+int IniSection::get_int32(const std::string& key, int fallback) const {
+  const long long v = get_int(key, fallback);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max())
+    throw std::invalid_argument("ini: [" + name + "] key '" + key +
+                                "' is out of int range: '" + get(key) + "'");
+  return static_cast<int>(v);
 }
 
 bool IniSection::get_bool(const std::string& key, bool fallback) const {

@@ -26,11 +26,14 @@ struct IniSection {
   std::string get(const std::string& key, const std::string& fallback = "") const;
 
   /// Typed getters; throw std::invalid_argument on absent keys or
-  /// unparsable values.
+  /// unparsable values. get_int also throws on a non-integral value or one
+  /// outside long long's range (nan, inf, 1e30); get_int32 on one outside
+  /// int's range.
   double get_double(const std::string& key) const;
   double get_double(const std::string& key, double fallback) const;
   long long get_int(const std::string& key) const;
   long long get_int(const std::string& key, long long fallback) const;
+  int get_int32(const std::string& key, int fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 };
 

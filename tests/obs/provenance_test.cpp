@@ -69,7 +69,7 @@ TEST(ProvenanceNames, StayInsideTheRegistryAlphabet) {
   for (int p = 0; p < kDecisionPathCount; ++p)
     EXPECT_TRUE(ok(decision_path_name(static_cast<DecisionPath>(p))));
   EXPECT_STREQ(decision_kind_name(DecisionKind::kExitSetting), "exit_setting");
-  EXPECT_STREQ(decision_path_name(DecisionPath::kMemoHit), "memo_hit");
+  EXPECT_STREQ(decision_path_name(DecisionPath::kWarmStart), "warm_start");
 }
 
 TEST(ProvenanceRecorder, SamplingAndOracleCadenceAreOrdinalDeterministic) {
@@ -134,8 +134,9 @@ TEST(ProvenanceRecorder, SummaryAccountsKindsPathsAndPerClassRegret) {
   };
   // Classes arrive out of alphabetical order; the summary sorts them.
   feed(DecisionKind::kOffload, DecisionPath::kDirect, "yard", 2.0, 1.5);
-  feed(DecisionKind::kExitSetting, DecisionPath::kMemoHit, "engine", 1.0, 1.0);
-  feed(DecisionKind::kOffload, DecisionPath::kBatch, "gate", 3.0, 2.0);
+  feed(DecisionKind::kExitSetting, DecisionPath::kWarmStart, "engine", 1.0,
+       1.0);
+  feed(DecisionKind::kOffload, DecisionPath::kDirect, "gate", 3.0, 2.0);
   feed(DecisionKind::kOffload, DecisionPath::kDirect, "yard", 5.0, 5.0);
 
   const auto sum = rec.summary();
@@ -144,9 +145,9 @@ TEST(ProvenanceRecorder, SummaryAccountsKindsPathsAndPerClassRegret) {
   EXPECT_EQ(sum.kinds[static_cast<std::size_t>(DecisionKind::kExitSetting)],
             1u);
   EXPECT_EQ(sum.kinds[static_cast<std::size_t>(DecisionKind::kOffload)], 3u);
-  EXPECT_EQ(sum.paths[static_cast<std::size_t>(DecisionPath::kDirect)], 2u);
-  EXPECT_EQ(sum.paths[static_cast<std::size_t>(DecisionPath::kBatch)], 1u);
-  EXPECT_EQ(sum.paths[static_cast<std::size_t>(DecisionPath::kMemoHit)], 1u);
+  EXPECT_EQ(sum.paths[static_cast<std::size_t>(DecisionPath::kDirect)], 3u);
+  EXPECT_EQ(sum.paths[static_cast<std::size_t>(DecisionPath::kWarmStart)], 1u);
+  EXPECT_EQ(sum.paths[static_cast<std::size_t>(DecisionPath::kCold)], 0u);
   ASSERT_EQ(sum.classes.size(), 3u);
   EXPECT_EQ(sum.classes[0].name, "engine");
   EXPECT_EQ(sum.classes[1].name, "gate");

@@ -1,10 +1,9 @@
 // Shared-Engine concurrency: N threads hammer one policy::Engine with
-// memo cache + warm start enabled (small capacity, so threads race on
-// lookups, inserts and evictions) and each thread's result stream must be
-// exactly the stream a single thread computes with the cold reference —
-// i.e. independent of the thread count and of any cache interleaving.
+// warm start enabled (thread-local warm scratch, per-thread incumbents) and each thread's result stream must be exactly
+// the stream a single thread computes with the cold reference — i.e.
+// independent of the thread count and of any interleaving.
 // scripts/check.sh runs this binary under ThreadSanitizer, which turns
-// any unsynchronized cache access into a hard failure.
+// any unsynchronized shared access into a hard failure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +14,7 @@
 #include "core/exit_setting.h"
 #include "models/profile.h"
 #include "policy/engine.h"
+#include "policy/warm_start.h"
 #include "util/rng.h"
 
 namespace leime::policy {
@@ -52,9 +52,8 @@ TEST(PolicyConcurrency, SharedEngineStreamsAreThreadCountIndependent) {
   constexpr int kThreads = 8;
   constexpr int kCallsPerThread = 200;
 
-  // A small pool of shared observations: overlap between threads is what
-  // makes the cache contended; each thread walks the pool in its own
-  // split-addressed order.
+  // A small pool of shared observations, each thread walking it in its own
+  // split-addressed order, so every thread's incumbent keeps changing.
   util::Rng pool_rng(0x90017ull);
   std::vector<models::ModelProfile> profiles;
   std::vector<core::Environment> envs;
@@ -84,12 +83,14 @@ TEST(PolicyConcurrency, SharedEngineStreamsAreThreadCountIndependent) {
   }
 
   Config config;
-  config.memo_cache = true;
   config.warm_start = true;
-  config.cache_capacity = 8;  // far below the 6 x 24 pool: constant eviction
   Engine engine(config);
 
   std::vector<std::string> failures(kThreads);
+  // Calls whose incumbent could seed the search: each thread writes only
+  // its own slot, so the count adds no synchronization that could hide a
+  // race inside the engine.
+  std::vector<int> seeded(kThreads, 0);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -99,6 +100,9 @@ TEST(PolicyConcurrency, SharedEngineStreamsAreThreadCountIndependent) {
                                      [static_cast<std::size_t>(c)];
         const core::CostModel cm(profiles[static_cast<std::size_t>(p)],
                                  envs[static_cast<std::size_t>(e)]);
+        if (incumbent.valid &&
+            incumbent_compatible(incumbent.combo, cm.num_exits()))
+          ++seeded[static_cast<std::size_t>(t)];
         const auto got = engine.exit_setting(cm, &incumbent);
         const auto& want =
             expected[static_cast<std::size_t>(t)][static_cast<std::size_t>(c)];
@@ -117,19 +121,17 @@ TEST(PolicyConcurrency, SharedEngineStreamsAreThreadCountIndependent) {
   for (auto& th : threads) th.join();
   for (const auto& f : failures) EXPECT_TRUE(f.empty()) << f;
 
-  // Liveness of the contended machinery: the run must have exercised
-  // hits, misses and evictions, and every call is accounted for.
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses,
-            static_cast<std::uint64_t>(kThreads) * kCallsPerThread);
-  EXPECT_GT(stats.cache_hits, 0u);
-  EXPECT_GT(stats.cache_evictions, 0u);
-  EXPECT_GT(stats.warm_starts + stats.cold_starts, 0u);
+  // The warm path was genuinely exercised: each stream's first call is
+  // cold, and profiles with a different m than the incumbent's fall back
+  // to the cold search.
+  int total_seeded = 0;
+  for (const int n : seeded) total_seeded += n;
+  EXPECT_GT(total_seeded, kThreads);
 }
 
 TEST(PolicyConcurrency, ConcurrentFleetDecisionsAreIndependent) {
-  // decide_fleet is const and uses only local scratch: many threads may
-  // batch different fleets over one Engine concurrently.
+  // decide_fleet is const and stateless: many threads may decide fleets
+  // over one Engine concurrently.
   util::Rng rng(0xF1337ull);
   const auto profile = random_profile(12, rng);
   const auto partition = core::make_partition(profile, {3, 7, 12});
@@ -151,9 +153,7 @@ TEST(PolicyConcurrency, ConcurrentFleetDecisionsAreIndependent) {
   states[3] = states[1];
   states[10] = states[1];
 
-  Config config;
-  config.batch_eq20 = true;
-  Engine engine(config);
+  const Engine engine;
   std::vector<double> reference;
   engine.decide_fleet(policy, states, reference);
 

@@ -1,8 +1,8 @@
-// Differential/property suite for the policy core's fast paths: across
-// randomized churn traces the engine with memo cache + warm start enabled
-// returns the *identical* (combo, cost) the cold reference search returns
-// — exact integer equality on the combo and bit-for-bit equality on the
-// cost double — and the batched fleet path reproduces the sequential
+// Differential/property suite for the policy core's fast path: across
+// randomized churn traces the engine with warm start enabled returns the
+// *identical* (combo, cost) the cold reference search returns — exact
+// integer equality on the combo and bit-for-bit equality on the cost
+// double — and the engine's fleet decisions reproduce the sequential
 // per-device loop within 0 ULP. Trace substreams are addressed via
 // util::Rng::split so every trace replays bit-for-bit on any platform.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "core/offload_policy.h"
 #include "core/partition.h"
 #include "models/profile.h"
-#include "policy/batch.h"
 #include "policy/engine.h"
 #include "policy/warm_start.h"
 #include "util/rng.h"
@@ -65,23 +64,26 @@ void drift_env(core::Environment& env, util::Rng& rng) {
 // engine result identical to the cold reference. Churn comes in three
 // strengths — drift (incumbent stays useful), environment jumps
 // (incumbent becomes far from optimal) and model swaps (incumbent becomes
-// *incompatible*: different m) — plus replays of earlier environments so
-// the memo cache serves exact hits mid-trace.
-TEST(PolicyDiff, WarmCacheEngineMatchesColdSearchOnChurnTraces) {
+// *incompatible*: different m) — plus bit-for-bit replays of earlier
+// environments, which seed the search with an incumbent that was optimal
+// for a different environment.
+TEST(PolicyDiff, WarmEngineMatchesColdSearchOnChurnTraces) {
   const util::Rng base(0xD1FFull);
   const int kTraces = 1000;
   const int kSteps = 8;
 
-  std::uint64_t warm_hits = 0, cache_hits = 0, swaps = 0;
+  // Counts the path every search took, across all traces.
+  obs::ProvenanceConfig every_decision;
+  every_decision.sample_n = 1;
+  every_decision.ring_capacity = 1;
+  obs::ProvenanceRecorder rec(every_decision);
+  std::uint64_t swaps = 0;
   for (int trace = 0; trace < kTraces; ++trace) {
     util::Rng rng = base.split(static_cast<std::uint64_t>(trace));
     Config config;
-    config.memo_cache = true;
     config.warm_start = true;
-    // Tiny capacities on some traces exercise eviction mid-trace.
-    config.cache_capacity = trace % 7 == 0 ? 2 : 64;
-    config.quant_per_octave = trace % 3 == 0 ? 1 : 4;
     Engine engine(config);
+    engine.attach_provenance(&rec);
     Incumbent incumbent;
 
     int m = static_cast<int>(rng.uniform_int(8, 32));
@@ -99,7 +101,7 @@ TEST(PolicyDiff, WarmCacheEngineMatchesColdSearchOnChurnTraces) {
       } else if (roll < 0.35) {
         env = random_env(rng);  // jump
       } else if (roll < 0.55 && !history.empty()) {
-        // Replay an earlier environment bit-for-bit: an exact cache hit.
+        // Replay an earlier environment bit-for-bit.
         env = history[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(history.size()) - 1))];
       } else {
@@ -108,9 +110,7 @@ TEST(PolicyDiff, WarmCacheEngineMatchesColdSearchOnChurnTraces) {
       history.push_back(env);
 
       const core::CostModel cm(profile, env);
-      const auto before = engine.stats();
       const auto fast = engine.exit_setting(cm, &incumbent);
-      const auto after = engine.stats();
       const auto cold = core::branch_and_bound_exit_setting(cm);
 
       ASSERT_EQ(fast.combo, cold.combo)
@@ -118,18 +118,17 @@ TEST(PolicyDiff, WarmCacheEngineMatchesColdSearchOnChurnTraces) {
       // Bit-for-bit: both paths evaluate expected_tct on the same combo.
       ASSERT_EQ(fast.cost, cold.cost)
           << "trace " << trace << " step " << step;
-      warm_hits += after.warm_starts - before.warm_starts;
-      cache_hits += after.cache_hits - before.cache_hits;
     }
   }
   // The trace mix must actually exercise every path or the property is
   // vacuous.
-  EXPECT_GT(warm_hits, 1000u);
-  EXPECT_GT(cache_hits, 500u);
+  const auto paths = rec.summary().paths;
+  EXPECT_GT(paths[static_cast<std::size_t>(obs::DecisionPath::kWarmStart)],
+            1000u);
   EXPECT_GT(swaps, 300u);
 }
 
-// Warm-start in isolation (no cache in front): seeded from last step's
+// Warm-start in isolation (no engine around it): seeded from last step's
 // combo — or a deliberately stale-but-compatible one — the warm search
 // returns the cold result on every instance, and its round structure
 // matches the cold search exactly.
@@ -167,34 +166,6 @@ TEST(PolicyDiff, WarmStartMatchesColdForAnyCompatibleIncumbent) {
   }
 }
 
-// Cache-hit ≡ recompute, stated directly: serve a hit, then recompute the
-// same observation cold; every field of the replayed result (including
-// the original search's work counters) is identical.
-TEST(PolicyDiff, CacheHitReplaysTheOriginalComputation) {
-  const util::Rng base(0xCACE ^ 0x5EEDull);
-  for (int trial = 0; trial < 200; ++trial) {
-    util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
-    const auto profile =
-        random_profile(static_cast<int>(rng.uniform_int(8, 32)), rng);
-    const auto env = random_env(rng);
-    const core::CostModel cm(profile, env);
-
-    Config config;
-    config.memo_cache = true;
-    Engine engine(config);
-    const auto miss = engine.exit_setting(cm);
-    const auto hit = engine.exit_setting(cm);
-    const auto cold = core::branch_and_bound_exit_setting(cm);
-    ASSERT_EQ(hit.combo, miss.combo);
-    ASSERT_EQ(hit.cost, miss.cost);
-    ASSERT_EQ(hit.evaluations, miss.evaluations);
-    ASSERT_EQ(hit.rounds, miss.rounds);
-    ASSERT_EQ(miss.combo, cold.combo);
-    ASSERT_EQ(miss.cost, cold.cost);
-    ASSERT_EQ(engine.stats().cache_hits, 1u);
-  }
-}
-
 /// Random but feasible per-slot device state over a shared partition.
 core::DeviceSlotState random_state(const core::MeDnnPartition* partition,
                                    util::Rng& rng) {
@@ -214,53 +185,9 @@ core::DeviceSlotState random_state(const core::MeDnnPartition* partition,
   return s;
 }
 
-// Batched ≡ sequential within 0 ULP, across random fleets with deliberate
-// duplicate states (the dedup's bread and butter) under both the exact
-// solver and the closed balance rule.
-TEST(PolicyDiff, BatchedFleetDecisionsMatchSequentialBitForBit) {
-  util::Rng profile_rng(7);
-  const auto profile = random_profile(16, profile_rng);
-  const auto partition = core::make_partition(profile, {4, 9, 16});
-  const core::LeimePolicy leime;
-  const core::BalancePolicy balance;
-  const util::Rng base(0xBA7C4ull);
-
-  std::uint64_t total_reused = 0;
-  FleetScratch scratch;  // reused across trials, as the simulation does
-  for (int trial = 0; trial < 1000; ++trial) {
-    util::Rng rng = base.split(static_cast<std::uint64_t>(trial));
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 32));
-    std::vector<core::DeviceSlotState> states;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!states.empty() && rng.uniform() < 0.4) {
-        // Duplicate an earlier device bit-for-bit (homogeneous class).
-        states.push_back(states[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(states.size()) - 1))]);
-      } else {
-        states.push_back(random_state(&partition, rng));
-      }
-    }
-    const core::OffloadPolicy& policy =
-        trial % 2 == 0 ? static_cast<const core::OffloadPolicy&>(leime)
-                       : balance;
-
-    std::vector<double> batched(states.size());
-    const auto stats = decide_fleet(policy, states, batched, scratch);
-    ASSERT_EQ(batched.size(), states.size());
-    ASSERT_EQ(stats.groups + stats.reused, states.size());
-    total_reused += stats.reused;
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      const double sequential = policy.decide(states[i]);
-      ASSERT_EQ(batched[i], sequential) << "trial " << trial << " dev " << i;
-    }
-  }
-  EXPECT_GT(total_reused, 1000u);  // the dedup path was genuinely hit
-}
-
-// The Engine's decide_fleet with batch_eq20 off (one decide_batch call)
-// must equal the sequential per-device loop, and with it on must match
-// too (same 0-ULP property, one layer up, including the stats plumbing).
-TEST(PolicyDiff, EngineDecideFleetMatchesAtBothKnobSettings) {
+// The Engine's decide_fleet (one decide_batch call) must equal the
+// sequential per-device loop within 0 ULP, duplicate states included.
+TEST(PolicyDiff, EngineDecideFleetMatchesSequential) {
   util::Rng rng(0xF1EE7ull);
   const auto profile = random_profile(12, rng);
   const auto partition = core::make_partition(profile, {3, 7, 12});
@@ -271,21 +198,12 @@ TEST(PolicyDiff, EngineDecideFleetMatchesAtBothKnobSettings) {
   states[5] = states[2];
   states[20] = states[2];
 
-  Config on;
-  on.batch_eq20 = true;
-  Engine batched_engine(on);
-  Engine plain_engine;  // defaults: sequential
-  std::vector<double> batched, plain;
-  batched_engine.decide_fleet(policy, states, batched);
-  plain_engine.decide_fleet(policy, states, plain);
-  ASSERT_EQ(batched.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_EQ(plain[i], policy.decide(states[i])) << i;
-    ASSERT_EQ(batched[i], plain[i]) << i;
-  }
-  EXPECT_EQ(batched_engine.stats().batch_reused, 2u);
-  EXPECT_EQ(batched_engine.stats().batch_groups, 22u);
-  EXPECT_EQ(plain_engine.stats().batch_groups, 0u);
+  const Engine engine;
+  std::vector<double> out;
+  engine.decide_fleet(policy, states, out);
+  ASSERT_EQ(out.size(), states.size());
+  for (std::size_t i = 0; i < states.size(); ++i)
+    ASSERT_EQ(out[i], policy.decide(states[i])) << i;
 }
 
 }  // namespace

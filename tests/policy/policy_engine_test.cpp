@@ -1,184 +1,46 @@
-// Unit contracts of the policy core: quantization determinism, the memo
-// cache's capacity/eviction contract, config validation, engine
-// degeneration to the reference search, and metric publication. The
-// equivalence *properties* (warm ≡ cold, cache-hit ≡ recompute,
-// batched ≡ sequential) live in policy_diff_test.cpp.
+// Unit contracts of the policy core: engine degeneration to the reference
+// search, the decision path each search takes, and the warm-start
+// preconditions. The equivalence *property* (warm ≡ cold) lives
+// in policy_diff_test.cpp.
 #include "policy/engine.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
+#include <cstdint>
 #include <stdexcept>
 
 #include "models/zoo.h"
-#include "policy/quantize.h"
 #include "policy/warm_start.h"
 
 namespace leime::policy {
 namespace {
 
-// --- quantization -----------------------------------------------------
+/// Decision paths an engine's searches took, read off a full-capture
+/// provenance recorder.
+struct PathCounts {
+  std::uint64_t cold = 0;
+  std::uint64_t warm = 0;
+};
 
-TEST(Quantize, SameValueSameBucketAcrossCalls) {
-  for (double v : {1e-9, 0.37, 1.0, 5.0, 1e12}) {
-    EXPECT_EQ(quantize_log(v, 4), quantize_log(v, 4)) << v;
-  }
+PathCounts paths_of(const obs::ProvenanceRecorder& rec) {
+  const auto sum = rec.summary();
+  return {sum.paths[static_cast<std::size_t>(obs::DecisionPath::kCold)],
+          sum.paths[static_cast<std::size_t>(obs::DecisionPath::kWarmStart)]};
 }
 
-TEST(Quantize, DoublingShiftsByPerOctave) {
-  // One octave apart => exactly per_octave buckets apart, at any mantissa.
-  for (int per_octave : {1, 4, 16}) {
-    for (double v : {0.3, 1.0, 1.5, 777.25}) {
-      EXPECT_EQ(quantize_log(2.0 * v, per_octave),
-                quantize_log(v, per_octave) + per_octave)
-          << "v=" << v << " per_octave=" << per_octave;
-    }
-  }
-}
-
-TEST(Quantize, NearbyValuesShareABucket) {
-  // A 1% perturbation moves at most one sub-bucket at 4/octave.
-  const int a = quantize_log(1.000, 4);
-  const int b = quantize_log(1.009, 4);
-  EXPECT_LE(std::abs(a - b), 1);
-}
-
-TEST(Quantize, NonPositiveAndNonFiniteCollapseToSentinel) {
-  const auto sentinel = std::numeric_limits<std::int32_t>::min();
-  EXPECT_EQ(quantize_log(0.0, 4), sentinel);
-  EXPECT_EQ(quantize_log(-1.0, 4), sentinel);
-  EXPECT_EQ(quantize_log(std::numeric_limits<double>::quiet_NaN(), 4),
-            sentinel);
-  EXPECT_EQ(quantize_log(std::numeric_limits<double>::infinity(), 4),
-            sentinel);
-}
-
-TEST(Quantize, RejectsBadResolution) {
-  EXPECT_THROW(quantize_log(1.0, 0), std::invalid_argument);
-}
-
-TEST(Quantize, FingerprintSeparatesProfiles) {
-  const auto a = profile_fingerprint(models::make_squeezenet());
-  const auto b = profile_fingerprint(models::make_inception_v3());
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a, profile_fingerprint(models::make_squeezenet()));
-}
-
-TEST(Quantize, EnvBitsEqualIsExact) {
-  core::Environment a = core::testbed_environment();
-  core::Environment b = a;
-  EXPECT_TRUE(env_bits_equal(a, b));
-  b.net.dev_edge_bw = std::nextafter(b.net.dev_edge_bw, 1e300);
-  EXPECT_FALSE(env_bits_equal(a, b));
-  // Signed zero: numerically equal, bit-distinct — must not match, or a
-  // cached replay could diverge from a recompute.
-  core::Environment c = a;
-  core::Environment d = a;
-  c.net.dev_edge_lat = 0.0;
-  d.net.dev_edge_lat = -0.0;
-  EXPECT_FALSE(env_bits_equal(c, d));
-}
-
-TEST(Quantize, CacheKeyEqualityFollowsBuckets) {
-  const auto fp = profile_fingerprint(models::make_squeezenet());
-  core::Environment a = core::testbed_environment();
-  core::Environment near = a;
-  near.net.dev_edge_bw *= 1.0001;  // same log bucket at 4/octave
-  core::Environment far = a;
-  far.net.dev_edge_bw *= 8.0;  // three octaves away
-  EXPECT_EQ(make_cache_key(fp, a, 4), make_cache_key(fp, near, 4));
-  EXPECT_FALSE(make_cache_key(fp, a, 4) == make_cache_key(fp, far, 4));
-  EXPECT_FALSE(make_cache_key(fp, a, 4) == make_cache_key(fp + 1, a, 4));
-}
-
-// --- memo cache contract ----------------------------------------------
-
-core::ExitSettingResult result_with_cost(double cost) {
-  core::ExitSettingResult r;
-  r.combo = {1, 2, 3};
-  r.cost = cost;
-  return r;
-}
-
-TEST(ExitCache, RejectsBadConstruction) {
-  EXPECT_THROW(ExitSettingCache(0, 4), std::invalid_argument);
-  EXPECT_THROW(ExitSettingCache(8, 0), std::invalid_argument);
-}
-
-TEST(ExitCache, HitRequiresExactEnvironment) {
-  ExitSettingCache cache(8, 4);
-  const core::Environment env = core::testbed_environment();
-  EXPECT_EQ(cache.lookup(1, env), nullptr);
-  cache.insert(1, env, result_with_cost(2.5));
-  const auto* hit = cache.lookup(1, env);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cost, 2.5);
-  // Same quantized bucket, different exact bits: a miss, never a wrong
-  // answer (the exact-match guard).
-  core::Environment near = env;
-  near.net.dev_edge_bw = std::nextafter(near.net.dev_edge_bw, 1e300);
-  EXPECT_EQ(cache.lookup(1, near), nullptr);
-  EXPECT_EQ(cache.lookup(2, env), nullptr);  // other model, same env
-}
-
-TEST(ExitCache, EvictsLeastRecentlyUsed) {
-  ExitSettingCache cache(2, 4);
-  core::Environment env_a = core::testbed_environment();
-  core::Environment env_b = env_a;
-  env_b.net.dev_edge_bw *= 64.0;
-  core::Environment env_c = env_a;
-  env_c.net.dev_edge_bw /= 64.0;
-
-  EXPECT_FALSE(cache.insert(1, env_a, result_with_cost(1.0)));
-  EXPECT_FALSE(cache.insert(1, env_b, result_with_cost(2.0)));
-  EXPECT_EQ(cache.size(), 2u);
-  // Touch A so B becomes the LRU entry, then insert C: B must go.
-  ASSERT_NE(cache.lookup(1, env_a), nullptr);
-  EXPECT_TRUE(cache.insert(1, env_c, result_with_cost(3.0)));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_NE(cache.lookup(1, env_a), nullptr);
-  EXPECT_EQ(cache.lookup(1, env_b), nullptr);
-  EXPECT_NE(cache.lookup(1, env_c), nullptr);
-}
-
-TEST(ExitCache, OverwriteInPlaceNeverEvicts) {
-  ExitSettingCache cache(2, 4);
-  core::Environment env_a = core::testbed_environment();
-  core::Environment env_b = env_a;
-  env_b.net.dev_edge_bw *= 64.0;
-  cache.insert(1, env_a, result_with_cost(1.0));
-  cache.insert(1, env_b, result_with_cost(2.0));
-  EXPECT_FALSE(cache.insert(1, env_a, result_with_cost(9.0)));
-  EXPECT_EQ(cache.size(), 2u);
-  const auto* hit = cache.lookup(1, env_a);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cost, 9.0);
-  EXPECT_NE(cache.lookup(1, env_b), nullptr);
-}
-
-// --- config + engine --------------------------------------------------
-
-TEST(PolicyConfig, ValidateRejectsBadKnobs) {
-  Config bad_capacity;
-  bad_capacity.cache_capacity = 0;
-  EXPECT_THROW(bad_capacity.validate(), std::invalid_argument);
-  Config bad_octave;
-  bad_octave.quant_per_octave = 0;
-  EXPECT_THROW(bad_octave.validate(), std::invalid_argument);
-  bad_octave.quant_per_octave = 65;
-  EXPECT_THROW(bad_octave.validate(), std::invalid_argument);
-  Config defaults;
-  EXPECT_NO_THROW(defaults.validate());
-  EXPECT_FALSE(defaults.enabled());
-  defaults.warm_start = true;
-  EXPECT_TRUE(defaults.enabled());
+obs::ProvenanceConfig every_decision() {
+  obs::ProvenanceConfig cfg;
+  cfg.sample_n = 1;
+  cfg.ring_capacity = 1;
+  return cfg;
 }
 
 TEST(Engine, DefaultsDegenerateToColdSearch) {
   const auto profile = models::make_inception_v3();
   const core::CostModel cm(profile, core::testbed_environment());
   Engine engine;
+  obs::ProvenanceRecorder rec(every_decision());
+  engine.attach_provenance(&rec);
   Incumbent incumbent;
   const auto got = engine.exit_setting(cm, &incumbent);
   const auto want = core::branch_and_bound_exit_setting(cm);
@@ -188,113 +50,34 @@ TEST(Engine, DefaultsDegenerateToColdSearch) {
   EXPECT_EQ(got.rounds, want.rounds);
   EXPECT_TRUE(incumbent.valid);
   EXPECT_EQ(incumbent.combo, want.combo);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.cold_starts, 1u);
-  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.warm_starts, 0u);
+  // With warm_start off a valid incumbent never seeds the search.
+  engine.exit_setting(cm, &incumbent);
+  const auto paths = paths_of(rec);
+  EXPECT_EQ(paths.cold, 2u);
+  EXPECT_EQ(paths.warm, 0u);
 }
 
-TEST(Engine, MemoCacheHitsOnRepeatedObservation) {
+TEST(Engine, WarmStartSeedsEverySearchAfterTheFirst) {
   const auto profile = models::make_squeezenet();
   const core::CostModel cm(profile, core::testbed_environment());
   Config config;
-  config.memo_cache = true;
+  config.warm_start = true;
   Engine engine(config);
-  const auto first = engine.exit_setting(cm);
-  const auto second = engine.exit_setting(cm);
-  EXPECT_EQ(first.combo, second.combo);
-  EXPECT_EQ(first.cost, second.cost);
-  const auto stats = engine.stats();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_hits, 1u);
-}
-
-TEST(Engine, RejectsInvalidConfig) {
-  Config config;
-  config.cache_capacity = 0;
-  EXPECT_THROW(Engine{config}, std::invalid_argument);
-}
-
-TEST(Engine, PublishMetricsRegistersPolicyCounters) {
-  const auto profile = models::make_squeezenet();
-  const core::CostModel cm(profile, core::testbed_environment());
-  Config config;
-  config.memo_cache = true;
-  Engine engine(config);
+  obs::ProvenanceRecorder rec(every_decision());
+  engine.attach_provenance(&rec);
+  // Without an incumbent there is nothing to seed from.
   engine.exit_setting(cm);
-  engine.exit_setting(cm);
-
-  obs::MetricsRegistry registry;
-  engine.publish_metrics(registry);
-  const auto snap = registry.snapshot();
-  const auto value_of = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& c : snap.counters)
-      if (c.name == name) return c.value;
-    ADD_FAILURE() << "missing counter " << name;
-    return 0;
-  };
-  EXPECT_EQ(value_of("leime_policy_cache_hits_total"), 1u);
-  EXPECT_EQ(value_of("leime_policy_cache_misses_total"), 1u);
-  EXPECT_EQ(value_of("leime_policy_cache_evictions_total"), 0u);
-  EXPECT_EQ(value_of("leime_policy_warm_starts_total"), 0u);
-  EXPECT_EQ(value_of("leime_policy_warm_pruned_scans_total"), 0u);
-  // The miss fell through to the reference search.
-  EXPECT_EQ(value_of("leime_policy_cold_starts_total"), 1u);
-  EXPECT_EQ(value_of("leime_policy_batch_groups_total"), 0u);
-  EXPECT_EQ(value_of("leime_policy_batch_reused_total"), 0u);
-  for (const auto& c : snap.counters)
-    EXPECT_TRUE(obs::valid_metric_name(c.name)) << c.name;
-}
-
-// Stats counters span the Engine's whole lifetime; a per-run view is the
-// field-wise delta since a baseline snapshot. This is what lets one engine
-// serve many plan rows without leaking row A's work into row B's metrics
-// (Simulation snapshots the baseline at construction).
-TEST(Engine, StatsSinceBaselineIsolatesPerRunDeltas) {
-  const auto profile = models::make_squeezenet();
-  const core::CostModel cm(profile, core::testbed_environment());
-  Config config;
-  config.memo_cache = true;
-  Engine engine(config);
-
-  // "Run 1": one miss + one hit.
-  engine.exit_setting(cm);
-  engine.exit_setting(cm);
-  const Stats baseline = engine.stats();
-  EXPECT_EQ(baseline.cache_hits, 1u);
-  EXPECT_EQ(baseline.cache_misses, 1u);
-
-  // "Run 2": three more hits on the same observation.
-  for (int i = 0; i < 3; ++i) engine.exit_setting(cm);
-  const Stats total = engine.stats();
-  EXPECT_EQ(total.cache_hits, 4u);  // lifetime counters keep growing
-
-  const Stats delta = total.since(baseline);
-  EXPECT_EQ(delta.cache_hits, 3u);
-  EXPECT_EQ(delta.cache_misses, 0u);
-  EXPECT_EQ(delta.cold_starts, 0u);
-  EXPECT_EQ(delta.cache_evictions, 0u);
-  EXPECT_EQ(delta.warm_starts, 0u);
-  EXPECT_EQ(delta.warm_pruned_scans, 0u);
-  EXPECT_EQ(delta.batch_groups, 0u);
-  EXPECT_EQ(delta.batch_reused, 0u);
-  // since() against a zero baseline is the identity.
-  const Stats identity = total.since(Stats{});
-  EXPECT_EQ(identity.cache_hits, total.cache_hits);
-  EXPECT_EQ(identity.cache_misses, total.cache_misses);
-
-  // publish_metrics(registry, baseline) exports only the delta.
-  obs::MetricsRegistry registry;
-  engine.publish_metrics(registry, baseline);
-  const auto snap = registry.snapshot();
-  const auto value_of = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& c : snap.counters)
-      if (c.name == name) return c.value;
-    ADD_FAILURE() << "missing counter " << name;
-    return 0;
-  };
-  EXPECT_EQ(value_of("leime_policy_cache_hits_total"), 3u);
-  EXPECT_EQ(value_of("leime_policy_cache_misses_total"), 0u);
-  EXPECT_EQ(value_of("leime_policy_cold_starts_total"), 0u);
+  Incumbent incumbent;
+  for (int i = 0; i < 4; ++i) engine.exit_setting(cm, &incumbent);
+  const auto paths = paths_of(rec);
+  EXPECT_EQ(paths.cold, 2u);
+  EXPECT_EQ(paths.warm, 3u);
+  // A model with another unit count makes the incumbent incompatible.
+  const auto other = models::make_inception_v3();
+  ASSERT_NE(other.num_units(), profile.num_units());
+  engine.exit_setting(core::CostModel(other, core::testbed_environment()),
+                      &incumbent);
+  EXPECT_EQ(paths_of(rec).cold, 3u);
 }
 
 // --- warm start preconditions -----------------------------------------

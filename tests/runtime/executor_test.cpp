@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "models/zoo.h"
@@ -127,12 +128,37 @@ TEST(Executor, AutoThreadCellsSplitTheHostBetweenWorkers) {
   // Any cell in auto mode — sharded or not, since a single-queue cell
   // solves large decision rounds on a pool of its own — gets
   // hardware_concurrency / workers threads; explicit counts stay.
-  const int hw = Executor::resolve_threads(0);
-  for (const int workers : {1, 2, 3, hw, 2 * hw})
-    EXPECT_EQ(Executor::cell_threads(0, workers), std::max(1, hw / workers))
-        << workers << " workers";
-  EXPECT_EQ(Executor::cell_threads(3, 2), 3);
-  EXPECT_EQ(Executor::cell_threads(1, 8), 1);
+  for (const int hw : {1, 4, 64})
+    for (const int workers : {1, 2, 3, hw, 2 * hw})
+      EXPECT_EQ(Executor::cell_threads(0, workers, hw),
+                std::max(1, hw / workers))
+          << hw << " hw threads, " << workers << " workers";
+  EXPECT_EQ(Executor::cell_threads(3, 2, 4), 3);
+  EXPECT_EQ(Executor::cell_threads(1, 8, 4), 1);
+}
+
+// On a 512-thread host an auto cell under one worker gets a budget above
+// the pool cap (sim::resolve_pool_threads clamps the pool it starts); the
+// cell must be accepted and match a one-thread run. The fleet is far
+// below kParallelDecideMin, so no pool thread is started.
+TEST(Executor, CellsRunOnHostsWiderThanThePoolCap) {
+  const auto plan = small_plan();
+  ExecutorOptions one;
+  one.threads = 1;
+  std::string want;
+  for (const int threads : {1, Executor::cell_threads(0, 1, 512)}) {
+    auto cells = plan.expand();
+    for (auto& cell : cells) cell.config.shards.threads = threads;
+    std::vector<RunRecord> got;
+    ASSERT_NO_THROW(got = Executor(one).run(std::move(cells)))
+        << threads << " threads";
+    const auto text = jsonl_without_timing(plan, got);
+    if (want.empty())
+      want = text;
+    else
+      EXPECT_EQ(text, want) << threads << " threads";
+  }
+  EXPECT_FALSE(want.empty());
 }
 
 }  // namespace

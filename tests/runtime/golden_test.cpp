@@ -105,22 +105,6 @@ TEST(Golden, JsonlSnapshotIsByteStableAtAnyThreadCount) {
          "the new file";
 }
 
-TEST(Golden, PolicyFastPathsAreObservationallyInvisible) {
-  // The [policy] fast paths are proven result-identical (src/policy, the
-  // policy_diff suite); this pins the end-to-end consequence: enabling
-  // every knob leaves the rendered JSONL byte-identical to default-off —
-  // including under the fault axis's churn — at any thread count.
-  sim::ScenarioConfig policy_on = golden_base();
-  policy_on.policy_core.memo_cache = true;
-  policy_on.policy_core.warm_start = true;
-  policy_on.policy_core.batch_eq20 = true;
-  const auto fast = render(1, policy_on);
-  EXPECT_EQ(fast, render(1))
-      << "[policy] fast paths changed the simulator's bytes";
-  EXPECT_EQ(fast, render(3, policy_on))
-      << "policy-on rendering depends on the executor thread count";
-}
-
 // Sharded execution (DESIGN.md §15) is an execution-strategy choice, not
 // a model change: partitioning the fleet across event queues must render
 // the exact single-queue bytes through the full plan/executor/sink path —

@@ -1,8 +1,8 @@
 // Zero-allocation gate for the per-slot decision round: once its scratch
-// has grown to the fleet's size, a batched eq. 19/20 round — with or
-// without the batch_eq20 dedup, behind the per-device slot memo on
-// all-hit, all-miss and mixed rounds, and split across the decision pool
-// — performs no heap allocations (the simulation keeps the scratch and
+// has grown to the fleet's size, a batched eq. 19/20 round — direct or
+// through policy::Engine, behind the per-device slot memo on all-hit,
+// all-miss and mixed rounds, and split across the decision pool —
+// performs no heap allocations (the simulation keeps the scratch and
 // the pool across slots; DESIGN.md §10, §12).
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "core/offload_policy.h"
 #include "core/partition.h"
 #include "models/zoo.h"
-#include "policy/batch.h"
 #include "policy/engine.h"
 #include "policy/slot_memo.h"
 #include "sim/parallel_decide.h"
@@ -54,78 +53,56 @@ TEST(DecideAlloc, SteadyStateDecisionRoundsAllocateNothing) {
   const auto part = core::make_partition(profile, {10, 14, profile.num_units()});
   const auto states = fleet(part);
   std::vector<double> out(states.size());
-  policy::Config on;
-  on.batch_eq20 = true;
-  const policy::Engine dedup(on);
-  const policy::Engine plain;
-  policy::FleetScratch scratch;
+  const policy::Engine engine;
 
   for (const char* name : {"LEIME", "LEIME-balance", "LEIME+fallback"}) {
     const auto policy = core::make_policy(name);
-    // Warm-up: grows the scratch and interns the profiler section names.
-    dedup.decide_fleet(*policy, states, out, &scratch);
-    plain.decide_fleet(*policy, states, out);
+    // Warm-up: interns the profiler section names.
+    engine.decide_fleet(*policy, states, out);
 
     const std::uint64_t before = testsupport::allocation_count();
     for (int round = 0; round < 50; ++round) {
       policy->decide_batch(states, out);
-      plain.decide_fleet(*policy, states, out);
-      dedup.decide_fleet(*policy, states, out, &scratch);
+      engine.decide_fleet(*policy, states, out);
     }
     EXPECT_EQ(testsupport::allocation_count() - before, 0u) << name;
   }
-  EXPECT_EQ(dedup.stats().batch_reused, 3u * 51u * 16u);
 }
 
 // Behind the per-device slot memo (policy/slot_memo.h), rounds after the
 // first — all-hit, all-miss and mixed, solved by the policy's
-// decide_batch or by the batch_eq20 engine — allocate nothing once an
-// all-miss round has grown the engine scratch.
+// decide_batch — allocate nothing.
 TEST(DecideAlloc, SteadyStateMemoRoundsAllocateNothing) {
   const auto profile = models::make_inception_v3();
   const auto part = core::make_partition(profile, {10, 14, profile.num_units()});
-  policy::Config on;
-  on.batch_eq20 = true;
-  const policy::Engine dedup(on);
 
   for (const char* name : {"LEIME", "LEIME-balance", "LEIME+fallback"}) {
+    SCOPED_TRACE(name);
     const auto policy = core::make_policy(name);
-    for (const bool engine_on : {false, true}) {
-      SCOPED_TRACE(std::string(name) + (engine_on ? " / engine" : ""));
-      policy::FleetScratch scratch;
-      const auto solve = [&](std::span<const core::DeviceSlotState> s,
-                             std::span<double> x) {
-        if (engine_on)
-          dedup.decide_fleet(*policy, s, x, &scratch);
-        else
-          policy->decide_batch(s, x);
-      };
-      auto states = fleet(part);
-      const auto observe = [&](std::size_t k) { return states[k]; };
-      // Moves the queue of every device with k % stride == phase.
-      const auto churn = [&](std::size_t stride, std::size_t phase) {
-        for (std::size_t k = phase; k < states.size(); k += stride)
-          states[k].queue_device += 1.0;
-      };
-      policy::SlotMemo memo;
-      memo.round(states.size(), observe, solve);  // round 0
-      // An all-miss round that also splits the fleet's bit-identical pairs,
-      // so the engine's representative buffers reach the fleet's size.
-      churn(1, 0);
-      churn(4, 3);
-      EXPECT_EQ(memo.round(states.size(), observe, solve), states.size());
+    const auto solve = [&](std::span<const core::DeviceSlotState> s,
+                           std::span<double> x) { policy->decide_batch(s, x); };
+    auto states = fleet(part);
+    const auto observe = [&](std::size_t k) { return states[k]; };
+    // Moves the queue of every device with k % stride == phase.
+    const auto churn = [&](std::size_t stride, std::size_t phase) {
+      for (std::size_t k = phase; k < states.size(); k += stride)
+        states[k].queue_device += 1.0;
+    };
+    policy::SlotMemo memo;
+    memo.round(states.size(), observe, solve);  // round 0
+    churn(1, 0);
+    EXPECT_EQ(memo.round(states.size(), observe, solve), states.size());
 
-      const std::uint64_t before = testsupport::allocation_count();
-      std::size_t solved = 0;
-      for (std::size_t round = 0; round < 30; ++round) {
-        if (round % 3 == 0) churn(1, 0);         // all miss
-        if (round % 3 == 1) churn(3, round % 2);  // mixed
-        solved += memo.round(states.size(), observe, solve);  // else all hit
-      }
-      EXPECT_EQ(testsupport::allocation_count() - before, 0u);
-      EXPECT_GT(solved, 10 * states.size());
-      EXPECT_LT(solved, 20 * states.size());
+    const std::uint64_t before = testsupport::allocation_count();
+    std::size_t solved = 0;
+    for (std::size_t round = 0; round < 30; ++round) {
+      if (round % 3 == 0) churn(1, 0);         // all miss
+      if (round % 3 == 1) churn(3, round % 2);  // mixed
+      solved += memo.round(states.size(), observe, solve);  // else all hit
     }
+    EXPECT_EQ(testsupport::allocation_count() - before, 0u);
+    EXPECT_GT(solved, 10 * states.size());
+    EXPECT_LT(solved, 20 * states.size());
   }
 }
 

@@ -4,7 +4,7 @@
 // decision was solved this slot or reused from the device's previous slot.
 // An attached observer re-decides every on_slot_decision across the
 // feature matrix (flat links, a routed fabric with backlog feedback,
-// faults, periodic eq. 27 re-allocation, the batch_eq20 engine), and the
+// faults, periodic eq. 27 re-allocation), and the
 // sharded runner must reproduce the single-queue run, solve counter
 // included. The memo itself is exercised directly on hit/miss patterns;
 // its zero-allocation gate lives in decide_alloc_test.cpp.
@@ -24,7 +24,6 @@
 #include "core/offload_policy.h"
 #include "core/partition.h"
 #include "models/zoo.h"
-#include "policy/batch.h"
 #include "policy/slot_memo.h"
 #include "sim/observer.h"
 #include "sim/simulation.h"
@@ -126,8 +125,6 @@ const Setting kSettings[] = {
        cfg.faults.degradation.detection_timeout = 0.5;
      }},
     {"realloc", [](ScenarioConfig& cfg) { cfg.reallocation_period = 3.0; }},
-    {"batch_eq20",
-     [](ScenarioConfig& cfg) { cfg.policy_core.batch_eq20 = true; }},
 };
 
 TEST(DecideMemo, EveryDecisionEqualsAFreshSolve) {

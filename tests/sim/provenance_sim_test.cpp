@@ -76,7 +76,7 @@ TEST(ProvenanceSim, DoesNotPerturbTheRunAndRidesSimResult) {
   EXPECT_EQ(on.provenance.sampled, on.provenance.decisions);  // 1-in-1
   EXPECT_GT(on.provenance.oracle_runs, 0u);
   EXPECT_LT(on.provenance.oracle_runs, on.provenance.sampled);  // 1-in-2
-  // Per-slot decisions with no policy engine run the direct path.
+  // Per-slot decisions run the direct path.
   EXPECT_EQ(on.provenance.paths[static_cast<std::size_t>(
                 obs::DecisionPath::kDirect)],
             on.provenance.sampled);
@@ -103,8 +103,9 @@ TEST(ProvenanceSim, DoesNotPerturbTheRunAndRidesSimResult) {
 
 // The PR's acceptance scenario: an impossible deadline fires the SLO
 // monitor, which dumps the flight recorder; the dump's records must all
-// have regret >= 0, and memo-hit decisions must equal their oracle cost
-// *exactly* (string-identical round-trip serialization, i.e. bit-equal).
+// have regret >= 0, and warm-started decisions must equal their oracle
+// cost *exactly* (string-identical round-trip serialization, i.e.
+// bit-equal).
 TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
   auto cfg = small_fleet();
   const std::string dir = ::testing::TempDir();
@@ -121,18 +122,18 @@ TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
   RecordingObserver obs(obs_cfg, cfg.devices.size(), {"cam", "cam"});
 
   // Seed the flight recorder with engine decisions: a cold search and a
-  // memo replay of the same observation, both oracle-checked.
+  // warm-started search of the same observation, both oracle-checked.
   policy::Config pol;
-  pol.memo_cache = true;
+  pol.warm_start = true;
   policy::Engine engine(pol);
   engine.attach_provenance(obs.provenance());
   const auto profile = models::make_inception_v3();
   const core::CostModel cm(profile, core::testbed_environment());
-  const auto first = engine.exit_setting(cm);
-  const auto replay = engine.exit_setting(cm);
-  EXPECT_EQ(replay.combo, first.combo);
-  EXPECT_EQ(replay.cost, first.cost);
-  EXPECT_EQ(engine.stats().cache_hits, 1u);
+  policy::Incumbent incumbent;
+  const auto first = engine.exit_setting(cm, &incumbent);
+  const auto warm = engine.exit_setting(cm, &incumbent);
+  EXPECT_EQ(warm.combo, first.combo);
+  EXPECT_EQ(warm.cost, first.cost);
 
   cfg.observer = &obs;
   const auto r = run_scenario(cfg);
@@ -140,8 +141,8 @@ TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
   const auto sum = obs.provenance_summary();
   ASSERT_TRUE(sum.active);
   EXPECT_GE(sum.dumps, 1u);
-  EXPECT_EQ(sum.paths[static_cast<std::size_t>(obs::DecisionPath::kMemoHit)],
-            1u);
+  EXPECT_EQ(
+      sum.paths[static_cast<std::size_t>(obs::DecisionPath::kWarmStart)], 1u);
   EXPECT_EQ(sum.paths[static_cast<std::size_t>(obs::DecisionPath::kCold)],
             1u);
   // Oracle on every sample and zero regret histogram mass above zero for
@@ -154,7 +155,7 @@ TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
   std::ifstream dump(obs_cfg.provenance.dump_out);
   ASSERT_TRUE(dump.good());
   std::string line;
-  std::size_t alerts = 0, decisions = 0, memo_hits = 0;
+  std::size_t alerts = 0, decisions = 0, warm_starts = 0;
   while (std::getline(dump, line)) {
     const auto type = field(line, "type");
     if (type == "alert") {
@@ -166,19 +167,20 @@ TEST(ProvenanceSim, SloFireDumpsFlightRecorderHonoringRegretContracts) {
       const auto regret = field(line, "regret");
       ASSERT_NE(regret, "null");  // 1-in-1 oracle: every record checked
       EXPECT_GE(std::stod(regret), 0.0);
-      if (field(line, "path") == "memo_hit") {
-        ++memo_hits;
+      if (field(line, "path") == "warm_start") {
+        ++warm_starts;
         // Exact equality: the serialized numbers are shortest-round-trip,
         // so identical text means identical doubles.
         EXPECT_EQ(field(line, "cost"), field(line, "oracle_cost"));
         EXPECT_EQ(regret, "0");
-        EXPECT_EQ(field(line, "explored"), "0");  // replays search nothing
+        // The record reports the warm search's own work.
+        EXPECT_EQ(field(line, "explored"), std::to_string(warm.evaluations));
       }
     }
   }
   EXPECT_EQ(alerts, sum.dumps);
   EXPECT_GT(decisions, 2u);
-  EXPECT_EQ(memo_hits, 1u);
+  EXPECT_EQ(warm_starts, 1u);
   std::remove(obs_cfg.provenance.dump_out.c_str());
 }
 

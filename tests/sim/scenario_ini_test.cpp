@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "sim/simulation.h"
 
@@ -414,67 +415,53 @@ TEST(ScenarioIni, TopologySectionValidation) {
       std::invalid_argument);
 }
 
-TEST(ScenarioIni, PolicySectionParses) {
-  const auto s = load_scenario(util::IniFile::parse_string(
-      std::string(kFleet) +
-      "[policy]\n"
-      "memo_cache = true\n"
-      "warm_start = true\n"
-      "batch_eq20 = true\n"
-      "cache_capacity = 128\n"
-      "quant_per_octave = 8\n"));
-  const auto& pol = s.config.policy_core;
-  EXPECT_TRUE(pol.memo_cache);
-  EXPECT_TRUE(pol.warm_start);
-  EXPECT_TRUE(pol.batch_eq20);
-  EXPECT_EQ(pol.cache_capacity, 128u);
-  EXPECT_EQ(pol.quant_per_octave, 8);
-  EXPECT_TRUE(pol.enabled());
+TEST(ScenarioIni, RemovedPolicySectionIsRejected) {
+  // The [policy] section configured exit-setting and offload fast paths
+  // that have been removed. A stale section must fail loudly, naming the
+  // section, rather than being dropped like an unknown one.
+  for (const char* body :
+       {"[policy]\n", "[policy]\nwarm_start = true\n",
+        "[policy]\nunknown_key = 1\n"}) {
+    SCOPED_TRACE(body);
+    try {
+      load_scenario(util::IniFile::parse_string(std::string(kFleet) + body));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("[policy]"), std::string::npos) << what;
+      EXPECT_NE(what.find("removed"), std::string::npos) << what;
+    }
+  }
 }
 
-TEST(ScenarioIni, PolicyOmittedOrEmptyStaysOff) {
-  const auto bare = load_scenario(util::IniFile::parse_string(kFleet));
-  EXPECT_FALSE(bare.config.policy_core.enabled());
-  const auto empty = load_scenario(
-      util::IniFile::parse_string(std::string(kFleet) + "[policy]\n"));
-  EXPECT_FALSE(empty.config.policy_core.enabled());
-  EXPECT_EQ(empty.config.policy_core.cache_capacity,
-            policy::Config{}.cache_capacity);
-}
-
-TEST(ScenarioIni, PolicySectionValidation) {
-  auto load = [](const std::string& extra) {
-    return load_scenario(
-        util::IniFile::parse_string(std::string(kFleet) + extra));
+TEST(ScenarioIni, IntKeysOutsideIntRangeAreRejected) {
+  // 4294967297 = 2^32 + 1: a plain narrowing would turn it into 1, a valid
+  // value, so each of these loads used to succeed silently.
+  const auto load = [](const std::string& text) {
+    return load_scenario(util::IniFile::parse_string(text));
   };
-  EXPECT_THROW(load("[policy]\ntypo_key = 1\n"), std::invalid_argument);
-  EXPECT_THROW(load("[policy]\ncache_capacity = 0\n"),
+  const std::string fleet_tail =
+      "[edge]\ngflops = 50\n[device]\nrate = 1\n[device]\nrate = 1\n";
+  EXPECT_THROW(
+      load("[scenario]\nmodel = squeezenet\nreplications = 4294967297\n" +
+           fleet_tail),
+      std::invalid_argument);
+  EXPECT_THROW(load(std::string(kFleet) + "[topology]\naps = 4294967297\n"),
                std::invalid_argument);
-  EXPECT_THROW(load("[policy]\nquant_per_octave = 0\n"),
+  EXPECT_THROW(load(std::string(kFleet) + "[shards]\nthreads = 4294967297\n"),
                std::invalid_argument);
-  EXPECT_THROW(load("[policy]\nquant_per_octave = 65\n"),
+  EXPECT_THROW(load(std::string(kFleet) + "[runtime]\nthreads = 4294967297\n"),
                std::invalid_argument);
-}
-
-TEST(ScenarioIni, PolicyFastPathsLeaveDesignAndRunIdentical) {
-  // The design-time search routes through policy::Engine either way; with
-  // every knob on, the designed exits, the cost estimate and the simulated
-  // results must match the default-off load exactly (the INI-level face of
-  // the policy_diff equivalence suite).
-  const auto off = load_scenario(util::IniFile::parse_string(kFleet));
-  const auto on = load_scenario(util::IniFile::parse_string(
-      std::string(kFleet) +
-      "[policy]\nmemo_cache = true\nwarm_start = true\nbatch_eq20 = "
-      "true\n"));
-  EXPECT_EQ(on.designed_exits, off.designed_exits);
-  EXPECT_EQ(on.expected_tct, off.expected_tct);
-  const auto a = run_scenario(off.config);
-  const auto b = run_scenario(on.config);
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.total_completed, b.total_completed);
-  EXPECT_DOUBLE_EQ(a.tct.mean, b.tct.mean);
-  EXPECT_DOUBLE_EQ(a.tct.p95, b.tct.p95);
-  EXPECT_DOUBLE_EQ(a.mean_offload_ratio, b.mean_offload_ratio);
+  EXPECT_THROW(
+      load(std::string(kFleet) + "[faults]\nmax_retries = 4294967297\n"),
+      std::invalid_argument);
+  // Values no integer type holds throw too (see Ini.GetIntRejects...).
+  EXPECT_THROW(load(std::string(kFleet) + "[runtime]\nthreads = 1e30\n"),
+               std::invalid_argument);
+  EXPECT_THROW(load(std::string(kFleet) + "[shards]\nthreads = nan\n"),
+               std::invalid_argument);
+  EXPECT_THROW(load(std::string(kFleet) + "[topology]\naps = inf\n"),
+               std::invalid_argument);
 }
 
 TEST(ScenarioIni, ShardsSectionParses) {
@@ -535,6 +522,11 @@ TEST(ScenarioIni, ShardsSectionValidation) {
   EXPECT_THROW(load("[shards]\nshards = 0\n"), std::invalid_argument);
   EXPECT_THROW(load("[shards]\nshards = -2\n"), std::invalid_argument);
   EXPECT_THROW(load("[shards]\nthreads = -1\n"), std::invalid_argument);
+  // threads starts that many OS threads: capped (ShardOptions::kMaxThreads).
+  // Loading only parses and validates, so no thread is started here.
+  EXPECT_THROW(load("[shards]\nthreads = 100000\n"), std::invalid_argument);
+  EXPECT_THROW(load("[shards]\nthreads = 257\n"), std::invalid_argument);
+  EXPECT_EQ(load("[shards]\nthreads = 256\n").config.shards.threads, 256);
   EXPECT_THROW(load("[shards]\nwindow_ms = -5\n"), std::invalid_argument);
   // Sharded execution rejects configurations outside its contract at run
   // time (validate_sharded in simulation.cpp), with an error naming the

@@ -5,7 +5,7 @@
 // bit-identical to shards = 1 for ANY shard/thread combination. The tests
 // here enforce that with exact floating-point equality on every SimResult
 // field across fleets exercising Poisson/periodic/bursty arrivals, the
-// reallocation timer, fault schedules and the batched policy engine; plus
+// reallocation timer and fault schedules; plus
 // unit coverage of the partitioning/lookahead helpers, the hub-link replay
 // and the thread-pool mechanics (the TSan target for the barrier
 // machinery).
@@ -174,6 +174,22 @@ TEST(ShardOptionsValidate, RejectsBadValues) {
   EXPECT_THROW(opts.validate(), std::invalid_argument);
 }
 
+// threads sizes a worker pool directly, so every budget resolves into
+// [1, kMaxThreads]. Only the resolution runs here: no pool is built.
+TEST(ResolvePoolThreads, ClampsEveryBudgetToKMaxThreads) {
+  constexpr int kMax = ShardOptions::kMaxThreads;
+  EXPECT_EQ(resolve_pool_threads(3, 64), 3);
+  EXPECT_EQ(resolve_pool_threads(kMax, 64), kMax);
+  EXPECT_EQ(resolve_pool_threads(100000, 64), kMax);
+  EXPECT_EQ(resolve_pool_threads(0, 64), 64);  // auto: the host's count
+  EXPECT_EQ(resolve_pool_threads(0, 512), kMax);
+  EXPECT_EQ(resolve_pool_threads(0, 0), 1);  // unknown host: inline
+  ShardOptions opts;
+  opts.threads = 100000;
+  EXPECT_NO_THROW(opts.validate());  // program-set budgets are clamped
+  EXPECT_EQ(resolve_shard_threads(opts, 1000), kMax);
+}
+
 TEST(HubLink, ReplaysLinkTransferBitExactly) {
   // The coordinator's HubLink must reproduce Link::transfer's FIFO
   // serialization arithmetic bit for bit on the flat no-trace path.
@@ -309,17 +325,6 @@ TEST(ShardedSim, BitIdenticalUnderFaultSchedules) {
   cfg.faults.degradation.max_retries = 2;
   cfg.faults.degradation.retry_backoff = 0.3;
   expect_sharding_invariant(cfg, "faults");
-}
-
-TEST(ShardedSim, BitIdenticalWithBatchedPolicyEngine) {
-  // The coordinator-owned engine is shared across shard threads; its
-  // batched eq. 20 path is 0-ULP batch-invariant, so partitioning the
-  // fleet must not move a single bit.
-  ScenarioConfig cfg = fleet_scenario(12, 41);
-  cfg.policy_core.memo_cache = true;
-  cfg.policy_core.warm_start = true;
-  cfg.policy_core.batch_eq20 = true;
-  expect_sharding_invariant(cfg, "batched-engine");
 }
 
 TEST(ShardedSim, MetricsCountersMatchSingleQueue) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace leime::util {
 namespace {
 
@@ -63,6 +66,46 @@ TEST(Ini, TypedGetterErrors) {
   EXPECT_DOUBLE_EQ(s.get_double("missing", 7.0), 7.0);
   EXPECT_EQ(s.get_int("missing", 3), 3);
   EXPECT_THROW(s.get_bool("x", false), std::invalid_argument);
+}
+
+// get_int parses a double, then casts it. A value outside long long's
+// range (or NaN) must throw before the cast: the cast itself would be
+// undefined behaviour, which UBSan's float-cast-overflow check reports.
+TEST(Ini, GetIntRejectsValuesOutsideLongLongRange) {
+  const auto ini = IniFile::parse_string(
+      "[s]\nhuge = 1e30\nneg = -1e30\nnan = nan\ninf = inf\n"
+      "ninf = -inf\nedge = 9223372036854775808\n"
+      "low = -9223372036854775808\nbig = 4294967297\n");
+  const auto& s = ini.only("s");
+  for (const char* key : {"huge", "neg", "nan", "inf", "ninf", "edge"}) {
+    SCOPED_TRACE(key);
+    try {
+      s.get_int(key);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("out of integer range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // -2^63 is the one endpoint long long can hold.
+  EXPECT_EQ(s.get_int("low"), std::numeric_limits<long long>::min());
+  EXPECT_EQ(s.get_int("big"), 4294967297LL);
+}
+
+TEST(Ini, GetInt32RejectsValuesOutsideIntRange) {
+  const auto ini = IniFile::parse_string(
+      "[s]\nwrap = 4294967297\nlow = -2147483649\nmax = 2147483647\n"
+      "min = -2147483648\nhuge = 1e30\nfrac = 1.5\n");
+  const auto& s = ini.only("s");
+  // 4294967297 = 2^32 + 1 would narrow to 1 under a plain static_cast.
+  EXPECT_THROW(s.get_int32("wrap", 0), std::invalid_argument);
+  EXPECT_THROW(s.get_int32("low", 0), std::invalid_argument);
+  EXPECT_THROW(s.get_int32("huge", 0), std::invalid_argument);
+  EXPECT_THROW(s.get_int32("frac", 0), std::invalid_argument);
+  EXPECT_EQ(s.get_int32("max", 0), std::numeric_limits<int>::max());
+  EXPECT_EQ(s.get_int32("min", 0), std::numeric_limits<int>::min());
+  EXPECT_EQ(s.get_int32("missing", 7), 7);
 }
 
 TEST(Ini, MalformedInput) {
