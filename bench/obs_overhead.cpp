@@ -33,8 +33,12 @@
 // either variant could push the ratio past the budget in both directions.
 // The default duration keeps each run long enough (tens of ms) that timer
 // granularity does not dominate the ratio. Results are also exported as
-// BENCH_obs_overhead.json via bench::Reporter.
+// BENCH_obs_overhead.json via bench::Reporter; the attribution case
+// carries a strict `waterfalls` counter (waterfalls assembled per run), and
+// scripts/check.sh gates the record against bench/baselines/ like
+// micro_sim: counters strictly, wall medians on the baseline's host only.
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -65,11 +69,15 @@ sim::ScenarioConfig make_scenario(double duration) {
   return cfg;
 }
 
-double time_run(const sim::ScenarioConfig& cfg, std::size_t* completed) {
+/// Times one run. `waterfalls` (may be null) receives the number of
+/// attribution waterfalls the run assembled.
+double time_run(const sim::ScenarioConfig& cfg, std::size_t* completed,
+                std::uint64_t* waterfalls = nullptr) {
   const auto t0 = util::WallClock::now();
   const auto r = sim::run_scenario(cfg);
   const double wall = util::seconds_since(t0);
   *completed += r.total_completed;  // defeat dead-code elimination
+  if (waterfalls) *waterfalls = r.attribution.tasks;
   return wall;
 }
 
@@ -123,11 +131,12 @@ int main(int argc, char** argv) {
   // Rounds stay interleaved (the whole point of the harness), so the
   // variants are timed by hand and adopted via add_case afterwards.
   std::vector<double> disabled, noop_s, recording, attribution, provenance;
+  std::uint64_t waterfalls = 0;  // per attribution run (seed-deterministic)
   for (int r = 0; r < rounds; ++r) {
     disabled.push_back(time_run(base, &sink));
     noop_s.push_back(time_run(noop_cfg, &sink));
     recording.push_back(time_run(recording_cfg, &sink));
-    attribution.push_back(time_run(attribution_cfg, &sink));
+    attribution.push_back(time_run(attribution_cfg, &sink, &waterfalls));
     provenance.push_back(time_run(provenance_cfg, &sink));
   }
 
@@ -135,7 +144,10 @@ int main(int argc, char** argv) {
   const auto& c_disabled = reporter.add_case("disabled", disabled, 1);
   const auto& c_noop = reporter.add_case("noop_observer", noop_s);
   const auto& c_recording = reporter.add_case("recording", recording);
-  const auto& c_attribution = reporter.add_case("attribution", attribution);
+  auto& c_attribution = reporter.add_case("attribution", attribution);
+  // Strict counter: the attribution case must keep assembling exactly this
+  // many waterfalls per run, or its wall time measures different work.
+  c_attribution.counters["waterfalls"] = waterfalls;
   const auto& c_provenance = reporter.add_case("provenance", provenance);
   const double overhead =
       c_noop.wall.median / c_disabled.wall.median - 1.0;

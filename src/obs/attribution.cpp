@@ -1,7 +1,9 @@
 #include "obs/attribution.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -74,7 +76,7 @@ const char* calib_component_name(CalibComponent comp) {
   return kCalibNames[static_cast<std::size_t>(comp)];
 }
 
-bool TaskWaterfall::calibration_error(CalibComponent comp, double* err) const {
+bool WaterfallCore::calibration_error(CalibComponent comp, double* err) const {
   // The eq. 4-9 model predicts the first, clean service attempt: tasks that
   // timed out and retried, or exited deeper than block 1, spent time the
   // model never claimed to predict.
@@ -110,24 +112,123 @@ bool TaskWaterfall::calibration_error(CalibComponent comp, double* err) const {
 // ---------------------------------------------------------------------------
 // LatencyLedger
 
+std::size_t LatencyLedger::home(std::uint64_t task) const {
+  // Fibonacci hashing: consecutive ids (the simulator's) spread evenly
+  // over the table, and the top log2(size) bits of the product pick the
+  // bucket.
+  return static_cast<std::size_t>((task * 0x9E3779B97F4A7C15ull) >>
+                                  (64 - std::countr_zero(index_.size())));
+}
+
+std::size_t LatencyLedger::bucket_of(std::uint64_t task) const {
+  if (index_.empty()) return 0;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t b = home(task);; b = (b + 1) & mask) {
+    const std::uint32_t s = index_[b];
+    if (s == kNoSlot) return index_.size();
+    if (slot(s).wf.task == task) return b;
+  }
+}
+
+LatencyLedger::Entry* LatencyLedger::find(std::uint64_t task) {
+  const std::size_t b = bucket_of(task);
+  return b < index_.size() ? &slot(index_[b]) : nullptr;
+}
+
+void LatencyLedger::insert(std::uint32_t s) {
+  if (2 * (live_ + 1) > index_.size()) {
+    // Double (from 16) and re-home every live slot.
+    std::vector<std::uint32_t> old = std::move(index_);
+    index_.assign(std::max<std::size_t>(16, 2 * old.size()), kNoSlot);
+    live_ = 0;
+    for (const std::uint32_t o : old)
+      if (o != kNoSlot) insert(o);
+  }
+  const std::size_t mask = index_.size() - 1;
+  std::size_t b = home(slot(s).wf.task);
+  while (index_[b] != kNoSlot) b = (b + 1) & mask;
+  index_[b] = s;
+  ++live_;
+}
+
+void LatencyLedger::release(std::size_t b) {
+  free_.push_back(index_[b]);
+  --live_;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless that would move them before their home bucket.
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t j = (b + 1) & mask; index_[j] != kNoSlot;
+       j = (j + 1) & mask) {
+    const std::size_t h = home(slot(index_[j]).wf.task);
+    if (((j - h) & mask) >= ((j - b) & mask)) {
+      index_[b] = index_[j];
+      b = j;
+    }
+  }
+  index_[b] = kNoSlot;
+}
+
+std::uint32_t LatencyLedger::intern(std::string_view port) {
+  const auto home_of = [this](std::string_view name) {
+    return std::hash<std::string_view>{}(name) & (port_index_.size() - 1);
+  };
+  if (!port_index_.empty()) {
+    for (std::size_t b = home_of(port); port_index_[b] != kNoSlot;
+         b = (b + 1) & (port_index_.size() - 1))
+      if (port_names_[port_index_[b]] == port) return port_index_[b];
+  }
+  const auto place = [&](std::uint32_t id) {
+    std::size_t b = home_of(port_names_[id]);
+    while (port_index_[b] != kNoSlot) b = (b + 1) & (port_index_.size() - 1);
+    port_index_[b] = id;
+  };
+  const auto id = static_cast<std::uint32_t>(port_names_.size());
+  port_names_.emplace_back(port);
+  if (2 * port_names_.size() > port_index_.size()) {
+    // Double (from 16) and re-home every earlier name.
+    port_index_.assign(std::max<std::size_t>(16, 2 * port_index_.size()),
+                       kNoSlot);
+    for (std::uint32_t p = 0; p < id; ++p) place(p);
+  }
+  place(id);
+  return id;
+}
+
 void LatencyLedger::on_generated(std::uint64_t task, int device,
                                  std::size_t cls, double t, int block,
                                  bool offloaded,
                                  const PredictedComponents& pred) {
-  Entry& e = entries_[task];
-  e.device = device;
-  e.cls = cls;
-  e.t_arrive = t;
-  e.block = block;
-  e.offloaded = offloaded;
-  e.pred = pred;
+  Entry* e = find(task);
+  if (!e) {
+    std::uint32_t s;
+    if (!free_.empty()) {
+      s = free_.back();
+      free_.pop_back();
+    } else {
+      s = pool_size_++;
+      if (s / kChunkEntries == chunks_.size())
+        chunks_.push_back(std::make_unique<Entry[]>(kChunkEntries));
+    }
+    e = &slot(s);
+    e->wf = WaterfallCore{};
+    e->wf.task = task;
+    e->hops.clear();
+    e->open = false;
+    insert(s);
+  }
+  e->wf.device = device;
+  e->wf.cls = cls;
+  e->wf.t_arrive = t;
+  e->wf.block = block;
+  e->wf.offloaded = offloaded;
+  e->wf.pred = pred;
 }
 
 void LatencyLedger::close_open(Entry& e, double t) {
   if (!e.open) return;
   e.open = false;
   const double dur = std::max(0.0, t - e.t_queued);
-  auto& s = e.stages[static_cast<std::size_t>(e.stage)];
+  auto& s = e.wf.stages[static_cast<std::size_t>(e.stage)];
   double wait;
   if (e.saw_hops && attr_stage_is_link(e.stage)) {
     // Hops partition the span exactly; their waits are the fine-grained
@@ -142,67 +243,93 @@ void LatencyLedger::close_open(Entry& e, double t) {
 
 void LatencyLedger::on_phase_begin(std::uint64_t task, std::string_view phase,
                                    double t_queued, double exec_start) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  close_open(e, t_queued);
-  e.open = true;
-  e.stage = attr_stage_for_phase(phase);
-  e.t_queued = t_queued;
-  e.exec_start = std::max(t_queued, exec_start);
-  e.hop_wait = 0.0;
-  e.saw_hops = false;
+  Entry* e = find(task);
+  if (!e) return;
+  close_open(*e, t_queued);
+  e->open = true;
+  e->stage = attr_stage_for_phase(phase);
+  e->t_queued = t_queued;
+  e->exec_start = std::max(t_queued, exec_start);
+  e->hop_wait = 0.0;
+  e->saw_hops = false;
 }
 
 void LatencyLedger::on_phase_end(std::uint64_t task, double t) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return;
-  close_open(it->second, t);
+  if (Entry* e = find(task)) close_open(*e, t);
 }
 
 void LatencyLedger::on_hop(std::uint64_t task, std::string_view port,
                            double t_queued, double exec_start, double t_end) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return;
-  Entry& e = it->second;
-  if (!e.open || !attr_stage_is_link(e.stage)) return;
-  HopSpan hop;
-  hop.port.assign(port.data(), port.size());
+  Entry* e = find(task);
+  if (!e || !e->open || !attr_stage_is_link(e->stage)) return;
+  PortHop hop;
+  hop.port = intern(port);
   hop.wait = std::max(0.0, exec_start - t_queued);
   hop.service = std::max(0.0, t_end - std::max(t_queued, exec_start));
-  e.hop_wait += hop.wait;
-  e.saw_hops = true;
-  e.hops.push_back(std::move(hop));
+  e->hop_wait += hop.wait;
+  e->saw_hops = true;
+  // One allocation per pool entry covers a routed task's usual legs (up
+  // to 6 hops: device -> AP -> edge, edge -> cloud and back); the
+  // capacity then survives every recycling of the entry.
+  if (e->hops.capacity() == 0) e->hops.reserve(kHopReserve);
+  e->hops.push_back(hop);
 }
 
 bool LatencyLedger::on_parked(std::uint64_t task) {
-  return entries_.erase(task) > 0;
+  const std::size_t b = bucket_of(task);
+  if (b >= index_.size()) return false;
+  release(b);
+  return true;
+}
+
+LatencyLedger::Completed LatencyLedger::complete(std::uint64_t task,
+                                                 double t_complete,
+                                                 int retries, bool counted) {
+  const std::size_t b = bucket_of(task);
+  if (b >= index_.size()) return {};
+  Entry& e = slot(index_[b]);
+  close_open(e, t_complete);
+  WaterfallCore& wf = e.wf;
+  wf.t_complete = t_complete;
+  wf.retries = retries;
+  wf.counted = counted;
+  wf.e2e = t_complete - wf.t_arrive;
+  double spans = 0.0;
+  for (const auto& s : wf.stages) spans += s.wait + s.service;
+  wf.stall = wf.e2e - spans;
+  // The slot goes back to the free list, but nothing overwrites it before
+  // the next on_generated, so the view below stays readable until then.
+  release(b);
+  return {&wf, e.hops};
+}
+
+void LatencyLedger::to_row(const Completed& done, TaskWaterfall* out) const {
+  static_cast<WaterfallCore&>(*out) = *done.wf;
+  out->hops.resize(done.hops.size());
+  for (std::size_t i = 0; i < done.hops.size(); ++i) {
+    out->hops[i].port = port_names_[done.hops[i].port];
+    out->hops[i].wait = done.hops[i].wait;
+    out->hops[i].service = done.hops[i].service;
+  }
 }
 
 bool LatencyLedger::on_complete(std::uint64_t task, double t_complete,
                                 int retries, bool counted, TaskWaterfall* out) {
-  auto it = entries_.find(task);
-  if (it == entries_.end()) return false;
-  Entry& e = it->second;
-  close_open(e, t_complete);
-  out->task = task;
-  out->device = e.device;
-  out->cls = e.cls;
-  out->t_arrive = e.t_arrive;
-  out->t_complete = t_complete;
-  out->block = e.block;
-  out->retries = retries;
-  out->offloaded = e.offloaded;
-  out->counted = counted;
-  out->stages = e.stages;
-  out->hops = std::move(e.hops);
-  out->pred = e.pred;
-  out->e2e = t_complete - e.t_arrive;
-  double spans = 0.0;
-  for (const auto& s : out->stages) spans += s.wait + s.service;
-  out->stall = out->e2e - spans;
-  entries_.erase(it);
+  const Completed done = complete(task, t_complete, retries, counted);
+  if (!done) return false;
+  to_row(done, out);
   return true;
+}
+
+void LatencyLedger::clear() {
+  // Run end: drop the open entries and hand the pool and the index back,
+  // so their high water does not overlap the run's finalize. The port
+  // table stays: summaries are materialized by port name afterwards.
+  chunks_ = decltype(chunks_)();
+  free_ = decltype(free_)();
+  index_ = decltype(index_)();
+  pool_size_ = 0;
+  live_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -224,6 +351,24 @@ void StageAccum::merge(const StageAccum& other) {
   service_hist.merge(other.service_hist);
 }
 
+void AttributionSummary::ClassAccum::add(const WaterfallCore& wf) {
+  ++tasks;
+  for (int i = 0; i < kAttrStageCount; ++i) {
+    const auto& s = wf.stages[static_cast<std::size_t>(i)];
+    if (s.wait == 0.0 && s.service == 0.0) continue;
+    stages[static_cast<std::size_t>(i)].add(s);
+  }
+  e2e.observe(wf.e2e);
+  stall.observe(wf.stall);
+}
+
+void AttributionSummary::CalibrationAccum::add(double err) {
+  ++count;
+  err_sum += err;
+  abs_err_sum += std::abs(err);
+  max_abs_err = std::max(max_abs_err, std::abs(err));
+}
+
 void AttributionSummary::add(const TaskWaterfall& wf,
                              const std::string& cls_name) {
   active = true;
@@ -235,15 +380,7 @@ void AttributionSummary::add(const TaskWaterfall& wf,
     cit = classes.insert(cit, ClassAccum{});
     cit->name = cls_name;
   }
-  ClassAccum& c = *cit;
-  ++c.tasks;
-  for (int i = 0; i < kAttrStageCount; ++i) {
-    const auto& s = wf.stages[static_cast<std::size_t>(i)];
-    if (s.wait == 0.0 && s.service == 0.0) continue;
-    c.stages[static_cast<std::size_t>(i)].add(s);
-  }
-  c.e2e.observe(wf.e2e);
-  c.stall.observe(wf.stall);
+  cit->add(wf);
   for (const auto& hop : wf.hops) {
     auto pit = std::lower_bound(
         ports.begin(), ports.end(), hop.port,
@@ -252,20 +389,14 @@ void AttributionSummary::add(const TaskWaterfall& wf,
         });
     if (pit == ports.end() || pit->first != hop.port)
       pit = ports.insert(pit, {hop.port, PortAccum{}});
-    ++pit->second.spans;
-    pit->second.wait += hop.wait;
-    pit->second.service += hop.service;
+    pit->second.add(hop.wait, hop.service);
   }
   bool any = false;
   for (int ci = 0; ci < kCalibComponentCount; ++ci) {
     double err = 0.0;
     if (!wf.calibration_error(static_cast<CalibComponent>(ci), &err)) continue;
     any = true;
-    auto& ca = calibration[static_cast<std::size_t>(ci)];
-    ++ca.count;
-    ca.err_sum += err;
-    ca.abs_err_sum += std::abs(err);
-    ca.max_abs_err = std::max(ca.max_abs_err, std::abs(err));
+    calibration[static_cast<std::size_t>(ci)].add(err);
   }
   if (any) ++calibrated_tasks;
 }

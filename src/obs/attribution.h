@@ -28,7 +28,8 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <map>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -107,8 +108,17 @@ struct HopSpan {
   double service = 0.0;
 };
 
-/// A completed task's assembled waterfall.
-struct TaskWaterfall {
+/// A fabric hop as the ledger stores it: the port is an id into the
+/// ledger's interned port table (LatencyLedger::port_name).
+struct PortHop {
+  std::uint32_t port = 0;
+  double wait = 0.0;
+  double service = 0.0;
+};
+
+/// A completed task's waterfall without its hop list: what the ledger keeps
+/// in place for every task and what the completion fold reads.
+struct WaterfallCore {
   std::uint64_t task = 0;
   int device = -1;
   std::size_t cls = 0;  ///< device-class index (RecordingObserver's table)
@@ -119,7 +129,6 @@ struct TaskWaterfall {
   bool offloaded = false;
   bool counted = false;  ///< completed after warmup
   std::array<StageBreakdown, kAttrStageCount> stages{};
-  std::vector<HopSpan> hops;  ///< per-port legs, in traversal order
   double stall = 0.0;         ///< e2e minus the sum of recorded spans
   double e2e = 0.0;           ///< t_complete - t_arrive
   PredictedComponents pred;
@@ -132,13 +141,36 @@ struct TaskWaterfall {
   bool calibration_error(CalibComponent comp, double* err) const;
 };
 
+/// A completed task's assembled waterfall, as kept in rows and files.
+struct TaskWaterfall : WaterfallCore {
+  std::vector<HopSpan> hops;  ///< per-port legs, in traversal order
+};
+
 /// Reassembles waterfalls from the observer's span stream. One entry per
 /// in-flight task; entries leave at completion (assembled) or when parked
 /// (dropped — a parked task has no end-to-end latency to attribute).
+///
+/// Storage (DESIGN.md §13): entries live in a chunked pool and recycle
+/// through a free list, reached from the task id by an open-addressed
+/// index sized to the live set (not to the id range), so any 64-bit id
+/// works. Port names are interned once; a hop is {port id, wait,
+/// service}, and a recycled entry keeps its hop capacity. Once the pool,
+/// the index and the port table have grown to a run's working depth, a
+/// task lifecycle allocates nothing.
 class LatencyLedger {
  public:
+  /// A completed task viewed in place. Valid until the next on_generated
+  /// or clear().
+  struct Completed {
+    const WaterfallCore* wf = nullptr;
+    std::span<const PortHop> hops;
+    explicit operator bool() const { return wf != nullptr; }
+  };
+
   /// Registers a generated task. `pred` is the decision-time prediction for
   /// the task's device (zero/invalid when no decision preceded it).
+  /// Re-registering a task that is still open updates these fields and
+  /// keeps its spans.
   void on_generated(std::uint64_t task, int device, std::size_t cls, double t,
                     int block, bool offloaded, const PredictedComponents& pred);
 
@@ -160,25 +192,36 @@ class LatencyLedger {
   /// Drops the entry (terminal-pending). Returns true when it existed.
   bool on_parked(std::uint64_t task);
 
-  /// Assembles and removes the entry into `*out`. Returns false when the
-  /// task was never registered. `retries`/`counted` come from the
+  /// Closes the task's open span, finishes its waterfall and recycles its
+  /// entry; the returned view reads the recycled entry in place. Empty
+  /// when the task was never registered. `retries`/`counted` come from the
   /// completion hook (unknown at generation time).
+  Completed complete(std::uint64_t task, double t_complete, int retries,
+                     bool counted);
+
+  /// complete() copied into `*out` with port names resolved. Returns false
+  /// when the task was never registered.
   bool on_complete(std::uint64_t task, double t_complete, int retries,
                    bool counted, TaskWaterfall* out);
 
-  std::size_t open_tasks() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
+  /// Copies a completed view into a row, resolving port ids to names.
+  void to_row(const Completed& done, TaskWaterfall* out) const;
+
+  /// Interned port names; PortHop::port indexes this table.
+  const std::string& port_name(std::uint32_t id) const {
+    return port_names_[id];
+  }
+  std::size_t port_count() const { return port_names_.size(); }
+
+  std::size_t open_tasks() const { return live_; }
+  /// Drops every open entry and frees the pool and the index (interned
+  /// port names stay valid).
+  void clear();
 
  private:
   struct Entry {
-    int device = -1;
-    std::size_t cls = 0;
-    double t_arrive = 0.0;
-    int block = 0;
-    bool offloaded = false;
-    PredictedComponents pred;
-    std::array<StageBreakdown, kAttrStageCount> stages{};
-    std::vector<HopSpan> hops;
+    WaterfallCore wf;
+    std::vector<PortHop> hops;  ///< cleared, not freed, on recycling
     // Open-span state.
     bool open = false;
     AttrStage stage = AttrStage::kOther;
@@ -188,9 +231,36 @@ class LatencyLedger {
     bool saw_hops = false;
   };
 
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr std::size_t kChunkEntries = 16;
+  static constexpr std::size_t kHopReserve = 8;
+
+  Entry& slot(std::uint32_t s) {
+    return chunks_[s / kChunkEntries][s % kChunkEntries];
+  }
+  const Entry& slot(std::uint32_t s) const {
+    return chunks_[s / kChunkEntries][s % kChunkEntries];
+  }
+  std::size_t home(std::uint64_t task) const;
+  std::size_t bucket_of(std::uint64_t task) const;  ///< index_.size() if absent
+  Entry* find(std::uint64_t task);
+  void insert(std::uint32_t s);
+  void release(std::size_t bucket);
+  std::uint32_t intern(std::string_view port);
   void close_open(Entry& e, double t);
 
-  std::map<std::uint64_t, Entry> entries_;
+  /// The pool, in fixed chunks: growing it never copies the entries or
+  /// holds two copies of the pool at once.
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::uint32_t pool_size_ = 0;  ///< entries handed out so far
+  std::vector<std::uint32_t> free_;  ///< recycled pool slots
+  /// Open-addressed (linear probing, Fibonacci hashing) task -> pool slot;
+  /// a power of two at most half full, so every probe run ends.
+  std::vector<std::uint32_t> index_;
+  std::size_t live_ = 0;
+  std::vector<std::string> port_names_;
+  /// Open-addressed port name -> id, at most half full (like index_).
+  std::vector<std::uint32_t> port_index_;
 };
 
 /// Per-stage aggregate: totals plus log-bucket wait/service histograms.
@@ -220,6 +290,9 @@ struct AttributionSummary {
     std::array<StageAccum, kAttrStageCount> stages{};
     Histogram e2e{attr_latency_buckets()};
     Histogram stall{attr_latency_buckets()};
+
+    /// Folds one task's stages (the touched ones), e2e and stall in.
+    void add(const WaterfallCore& wf);
   };
   std::vector<ClassAccum> classes;  ///< sorted by class name
 
@@ -227,6 +300,12 @@ struct AttributionSummary {
     std::uint64_t spans = 0;
     double wait = 0.0;
     double service = 0.0;
+
+    void add(double hop_wait, double hop_service) {
+      ++spans;
+      wait += hop_wait;
+      service += hop_service;
+    }
   };
   std::vector<std::pair<std::string, PortAccum>> ports;  ///< sorted by name
 
@@ -235,6 +314,8 @@ struct AttributionSummary {
     double err_sum = 0.0;      ///< signed: actual - predicted
     double abs_err_sum = 0.0;
     double max_abs_err = 0.0;
+
+    void add(double err);
   };
   std::array<CalibrationAccum, kCalibComponentCount> calibration{};
   std::uint64_t calibrated_tasks = 0;
@@ -243,7 +324,8 @@ struct AttributionSummary {
 
   /// Folds one waterfall in. `cls_name` must be the class's stable name —
   /// the summary keys classes by name so shards with different class
-  /// tables still merge correctly.
+  /// tables still merge correctly. (A run folds by class and port index
+  /// instead and materializes names once: RecordingObserver.)
   void add(const TaskWaterfall& wf, const std::string& cls_name);
 
   void merge(const AttributionSummary& other);

@@ -275,23 +275,13 @@ FaultTimeline materialize_faults(const FaultPlan& plan,
 }
 
 FaultPlan parse_faults_section(const util::IniSection& section) {
-  static const char* kKnown[] = {
-      "link_outage_windows", "link_outage_rate",    "link_outage_mean_s",
-      "edge_down_windows",   "edge_crash_rate",     "edge_downtime_mean_s",
-      "ap_outage_windows",   "churn",               "detection_timeout_s",
-      "task_timeout_s",      "max_retries",         "retry_backoff_s",
-      "probe_period_s"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[faults] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.require_known_keys({"link_outage_windows", "link_outage_rate",
+                               "link_outage_mean_s", "edge_down_windows",
+                               "edge_crash_rate", "edge_downtime_mean_s",
+                               "ap_outage_windows", "churn",
+                               "detection_timeout_s", "task_timeout_s",
+                               "max_retries", "retry_backoff_s",
+                               "probe_period_s"});
 
   FaultPlan plan;
   if (section.has("link_outage_windows"))

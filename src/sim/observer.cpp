@@ -58,7 +58,12 @@ RecordingObserver::RecordingObserver(ObsConfig config, std::size_t num_devices,
     device_class_.push_back(static_cast<std::size_t>(
         std::lower_bound(class_names_.begin(), class_names_.end(), c) -
         class_names_.begin()));
-  attr_summary_.active = attr_on_;
+  attr_totals_.active = attr_on_;
+  if (attr_on_) {
+    attr_classes_.resize(class_names_.size());
+    for (std::size_t c = 0; c < class_names_.size(); ++c)
+      attr_classes_[c].name = class_names_[c];
+  }
   if (cfg_.slo.enabled())
     slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo, class_names_.size());
   if (cfg_.provenance.enabled())
@@ -279,32 +284,9 @@ void RecordingObserver::on_task_complete(std::uint64_t task, int device,
     if (counted) h_tct_->observe(tct);
   }
   if (attr_on_) {
-    obs::TaskWaterfall wf;
-    if (ledger_.on_complete(task, t_complete, retries, counted, &wf)) {
-      if (metrics_on_) {
-        c_attr_tasks_->inc();
-        h_attr_stall_->observe(wf.stall);
-        for (int i = 0; i < obs::kAttrStageCount; ++i) {
-          const auto& s = wf.stages[static_cast<std::size_t>(i)];
-          if (s.wait == 0.0 && s.service == 0.0) continue;
-          h_attr_wait_[static_cast<std::size_t>(i)]->observe(s.wait);
-          h_attr_service_[static_cast<std::size_t>(i)]->observe(s.service);
-        }
-        bool calibrated = false;
-        for (int ci = 0; ci < obs::kCalibComponentCount; ++ci) {
-          double err = 0.0;
-          if (!wf.calibration_error(static_cast<obs::CalibComponent>(ci),
-                                    &err))
-            continue;
-          calibrated = true;
-          auto& hist = err >= 0.0 ? h_calib_over_ : h_calib_under_;
-          hist[static_cast<std::size_t>(ci)]->observe(err >= 0.0 ? err : -err);
-        }
-        if (calibrated) c_attr_calibrated_->inc();
-      }
-      attr_summary_.add(wf, class_names_[wf.cls]);
-      if (keep_rows_) waterfalls_.push_back(std::move(wf));
-    }
+    if (const auto done =
+            ledger_.complete(task, t_complete, retries, counted))
+      fold_waterfall(done);
   }
   if (slo_ && counted) {
     const std::size_t cls = class_of(device);
@@ -363,11 +345,74 @@ void RecordingObserver::on_task_complete(std::uint64_t task, int device,
   if (sampler_.sampled(task)) close_span(task, t_complete, "ok");
 }
 
+void RecordingObserver::fold_waterfall(
+    const obs::LatencyLedger::Completed& done) {
+  // Every sum and histogram below sees completions in the same order as a
+  // by-name fold of the assembled rows would, so the summary and metrics
+  // are bit-identical to one; only the name lookups are gone.
+  const obs::WaterfallCore& wf = *done.wf;
+  ++attr_totals_.tasks;
+  attr_classes_[wf.cls].add(wf);
+  for (const auto& hop : done.hops) {
+    if (hop.port >= attr_ports_.size())
+      attr_ports_.resize(ledger_.port_count());
+    attr_ports_[hop.port].add(hop.wait, hop.service);
+  }
+  if (metrics_on_) {
+    c_attr_tasks_->inc();
+    h_attr_stall_->observe(wf.stall);
+    for (int i = 0; i < obs::kAttrStageCount; ++i) {
+      const auto& s = wf.stages[static_cast<std::size_t>(i)];
+      if (s.wait == 0.0 && s.service == 0.0) continue;
+      h_attr_wait_[static_cast<std::size_t>(i)]->observe(s.wait);
+      h_attr_service_[static_cast<std::size_t>(i)]->observe(s.service);
+    }
+  }
+  bool calibrated = false;
+  for (int ci = 0; ci < obs::kCalibComponentCount; ++ci) {
+    double err = 0.0;
+    if (!wf.calibration_error(static_cast<obs::CalibComponent>(ci), &err))
+      continue;
+    calibrated = true;
+    attr_totals_.calibration[static_cast<std::size_t>(ci)].add(err);
+    if (metrics_on_) {
+      auto& hist = err >= 0.0 ? h_calib_over_ : h_calib_under_;
+      hist[static_cast<std::size_t>(ci)]->observe(err >= 0.0 ? err : -err);
+    }
+  }
+  if (calibrated) {
+    ++attr_totals_.calibrated_tasks;
+    if (metrics_on_) c_attr_calibrated_->inc();
+  }
+  if (keep_rows_) {
+    waterfalls_.emplace_back();
+    ledger_.to_row(done, &waterfalls_.back());
+  }
+}
+
+obs::AttributionSummary RecordingObserver::attribution_summary() const {
+  obs::AttributionSummary sum = attr_totals_;
+  // Class indices follow the sorted class names, so index order is the
+  // summary's name order; ports are sorted by name here.
+  for (const auto& c : attr_classes_)
+    if (c.tasks > 0) sum.classes.push_back(c);
+  std::vector<std::uint32_t> ids;
+  for (std::size_t p = 0; p < attr_ports_.size(); ++p)
+    if (attr_ports_[p].spans > 0) ids.push_back(static_cast<std::uint32_t>(p));
+  std::sort(ids.begin(), ids.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return ledger_.port_name(a) < ledger_.port_name(b);
+  });
+  sum.ports.reserve(ids.size());
+  for (const std::uint32_t p : ids)
+    sum.ports.emplace_back(ledger_.port_name(p), attr_ports_[p]);
+  return sum;
+}
+
 void RecordingObserver::on_task_parked(std::uint64_t task, int device,
                                        double t) {
   if (attr_on_ && ledger_.on_parked(task)) {
     // A parked task has no completion, so no waterfall: it only counts.
-    ++attr_summary_.incomplete;
+    ++attr_totals_.incomplete;
     if (metrics_on_) c_attr_incomplete_->inc();
   }
   if (metrics_on_) c_parked_->inc();
@@ -515,13 +560,14 @@ void RecordingObserver::on_run_end(double t) {
   // faults leave parked tasks mid-phase).
   while (!open_.empty()) close_span(open_.begin()->first, t, "unfinished");
   if (attr_on_) {
-    // Entries still open never completed: count them, drop the partials.
+    // Entries still open never completed: count them, drop the partials
+    // and free the ledger's pool before the run finalizes.
     const auto open = static_cast<std::uint64_t>(ledger_.open_tasks());
     if (open > 0) {
-      attr_summary_.incomplete += open;
+      attr_totals_.incomplete += open;
       if (metrics_on_) c_attr_incomplete_->inc(open);
-      ledger_.clear();
     }
+    ledger_.clear();
   }
   if (prov_) {
     if (metrics_on_) {

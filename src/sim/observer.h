@@ -208,10 +208,10 @@ class RecordingObserver : public Observer {
   const obs::MemoryTimeseriesSink& timeseries() const { return series_; }
   const ObsConfig& config() const { return cfg_; }
 
-  /// Attribution aggregates (inactive struct when attribution is off).
-  const obs::AttributionSummary& attribution_summary() const {
-    return attr_summary_;
-  }
+  /// Attribution aggregates (inactive struct when attribution is off),
+  /// materialized by class and port name from the run's index-addressed
+  /// accumulators on each call.
+  obs::AttributionSummary attribution_summary() const;
   /// Per-task rows; populated only with keep_waterfalls / output paths.
   const std::vector<obs::TaskWaterfall>& waterfalls() const {
     return waterfalls_;
@@ -245,6 +245,7 @@ class RecordingObserver : public Observer {
   };
 
   void close_span(std::uint64_t task, double t, std::string_view outcome);
+  void fold_waterfall(const obs::LatencyLedger::Completed& done);
   std::size_t class_of(int device) const;
 
   ObsConfig cfg_;
@@ -316,7 +317,11 @@ class RecordingObserver : public Observer {
   std::vector<std::size_t> device_class_;  ///< device -> class index
   std::vector<obs::PredictedComponents> last_pred_;  ///< per device
   obs::LatencyLedger ledger_;
-  obs::AttributionSummary attr_summary_;
+  /// Run totals (tasks, incomplete, calibration); classes/ports stay empty
+  /// here and are filled from the two index-addressed tables below.
+  obs::AttributionSummary attr_totals_;
+  std::vector<obs::AttributionSummary::ClassAccum> attr_classes_;  ///< by cls
+  std::vector<obs::AttributionSummary::PortAccum> attr_ports_;  ///< by port id
   std::vector<obs::TaskWaterfall> waterfalls_;
   std::unique_ptr<obs::SloMonitor> slo_;
   // Decision provenance (DESIGN.md §14). The dump stream opens lazily on

@@ -12,22 +12,10 @@
 namespace leime::sim {
 
 ObsConfig parse_observability_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"metrics",        "trace_sample",
-                                 "timeseries",     "metrics_out",
-                                 "metrics_jsonl",  "trace_out",
-                                 "timeseries_out", "attribution",
-                                 "attribution_out", "calibration_out"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[observability] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.require_known_keys({"metrics", "trace_sample", "timeseries",
+                               "metrics_out", "metrics_jsonl", "trace_out",
+                               "timeseries_out", "attribution",
+                               "attribution_out", "calibration_out"});
 
   ObsConfig obs;
   obs.metrics = section.get_bool("metrics", false);
@@ -47,20 +35,9 @@ ObsConfig parse_observability_section(const util::IniSection& section) {
 }
 
 obs::SloConfig parse_slo_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"deadline_ms",     "window_s",
-                                 "target_miss_rate", "burn_threshold",
-                                 "min_window_tasks", "alerts_out"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[slo] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.require_known_keys({"deadline_ms", "window_s", "target_miss_rate",
+                               "burn_threshold", "min_window_tasks",
+                               "alerts_out"});
 
   obs::SloConfig slo;
   slo.deadline = util::ms(section.get_double("deadline_ms", 0.0));
@@ -87,20 +64,8 @@ obs::SloConfig parse_slo_section(const util::IniSection& section) {
 
 obs::ProvenanceConfig parse_provenance_section(
     const util::IniSection& section) {
-  static const char* kKnown[] = {"sample_n", "ring_capacity",
-                                 "oracle_sample_n", "decisions_out",
-                                 "dump_out"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[provenance] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.require_known_keys({"sample_n", "ring_capacity", "oracle_sample_n",
+                               "decisions_out", "dump_out"});
 
   obs::ProvenanceConfig prov;
   const long long sample = section.get_int("sample_n", 0);
@@ -129,19 +94,8 @@ obs::ProvenanceConfig parse_provenance_section(
 }
 
 net::TopologyConfig parse_topology_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"aps", "ap_mbps", "ap_latency_ms",
-                                 "device_map", "queue_limit_kb"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[topology] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.require_known_keys({"aps", "ap_mbps", "ap_latency_ms", "device_map",
+                               "queue_limit_kb"});
 
   net::TopologyConfig topo;
   topo.aps = section.get_int32("aps", 0);
@@ -178,18 +132,7 @@ net::TopologyConfig parse_topology_section(const util::IniSection& section) {
 }
 
 ShardOptions parse_shards_section(const util::IniSection& section) {
-  static const char* kKnown[] = {"shards", "threads", "window_ms"};
-  for (const auto& [key, value] : section.values) {
-    (void)value;
-    if (std::find_if(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return key == k; }) ==
-        std::end(kKnown)) {
-      std::string valid;
-      for (const char* k : kKnown) valid += std::string(" ") + k;
-      throw std::invalid_argument("[shards] unknown key '" + key +
-                                  "' (valid keys:" + valid + ")");
-    }
-  }
+  section.require_known_keys({"shards", "threads", "window_ms"});
 
   ShardOptions shards;
   const long long count = section.get_int("shards", 1);
@@ -224,8 +167,22 @@ models::ModelProfile resolve_model_name(const std::string& name) {
 }
 
 IniScenario load_scenario(const util::IniFile& ini) {
+  // [policy] no longer configures anything: name it rather than list it as
+  // merely unknown.
+  if (ini.find("policy"))
+    throw std::invalid_argument(
+        "scenario: the [policy] section was removed; delete it (exit "
+        "setting and offload decisions always run the reference searches)");
+  ini.require_known_sections({"scenario", "edge", "device", "faults",
+                              "topology", "observability", "slo",
+                              "provenance", "shards", "runtime"});
   const auto& sc = ini.only("scenario");
   const auto& edge = ini.only("edge");
+  sc.require_known_keys({"model", "policy", "duration", "warmup", "seed",
+                         "reallocation_period", "result_bytes",
+                         "shared_uplink_mbps", "replications"});
+  edge.require_known_keys(
+      {"gflops", "cloud_tflops", "cloud_mbps", "cloud_latency_ms"});
 
   ScenarioConfig cfg;
   cfg.edge_flops = util::gflops(edge.get_double("gflops", 50.0));
@@ -246,6 +203,8 @@ IniScenario load_scenario(const util::IniFile& ini) {
     throw std::invalid_argument("scenario file has no [device] sections");
   double flops_sum = 0.0, bw_sum = 0.0, lat_sum = 0.0;
   for (const auto* d : devices) {
+    d->require_known_keys({"gflops", "rate", "uplink_mbps",
+                           "uplink_latency_ms", "difficulty", "class"});
     DeviceSpec dev;
     dev.flops = util::gflops(d->get_double("gflops", 0.6));
     dev.mean_rate = d->get_double("rate", 1.0);
@@ -291,17 +250,12 @@ IniScenario load_scenario(const util::IniFile& ini) {
   if (const auto* prov = ini.find("provenance"))
     cfg.obs.provenance = parse_provenance_section(*prov);
 
-  // [policy] no longer configures anything: fail loudly rather than drop a
-  // stale section the way unknown sections are dropped.
-  if (ini.find("policy"))
-    throw std::invalid_argument(
-        "scenario: the [policy] section was removed; delete it (exit "
-        "setting and offload decisions always run the reference searches)");
-
   if (const auto* sh = ini.find("shards"))
     cfg.shards = parse_shards_section(*sh);
 
   if (const auto* rt = ini.find("runtime")) {
+    rt->require_known_keys({"threads", "seed_mode", "jsonl", "trace",
+                            "progress"});
     out.threads = rt->get_int32("threads", 1);
     if (out.threads < 0)
       throw std::invalid_argument("runtime: threads must be >= 0");

@@ -43,6 +43,9 @@
 //               budget: at shards = 1 it sizes the pool that solves a
 //               large fleet's slot decisions (DESIGN.md §12.3). Values
 //               above ShardOptions::kMaxThreads (256) are rejected.
+// Any other section name, and any key a section does not list, throws
+// std::invalid_argument naming the section and the key: a typo fails
+// instead of running on defaults.
 #pragma once
 
 #include <string>

@@ -21,7 +21,28 @@ std::string strip_comment(const std::string& line) {
   return pos == std::string::npos ? line : line.substr(0, pos);
 }
 
+bool is_known(const std::string& name,
+              std::initializer_list<const char*> known) {
+  for (const char* k : known)
+    if (name == k) return true;
+  return false;
+}
+
+std::string list_of(std::initializer_list<const char*> known) {
+  std::string out;
+  for (const char* k : known) out += std::string(" ") + k;
+  return out;
+}
+
 }  // namespace
+
+void IniSection::require_known_keys(
+    std::initializer_list<const char*> known) const {
+  for (const auto& [key, value] : values)
+    if (!is_known(key, known))
+      throw std::invalid_argument("[" + name + "] unknown key '" + key +
+                                  "' (valid keys:" + list_of(known) + ")");
+}
 
 std::string IniSection::get(const std::string& key,
                             const std::string& fallback) const {
@@ -153,6 +174,15 @@ const IniSection& IniFile::only(const std::string& name) const {
 const IniSection* IniFile::find(const std::string& name) const {
   const auto matches = all(name);
   return matches.empty() ? nullptr : matches.front();
+}
+
+void IniFile::require_known_sections(
+    std::initializer_list<const char*> known) const {
+  for (const auto& section : sections_)
+    if (!is_known(section.name, known))
+      throw std::invalid_argument("ini: unknown section [" + section.name +
+                                  "] (valid sections:" + list_of(known) +
+                                  ")");
 }
 
 }  // namespace leime::util

@@ -8,6 +8,7 @@
 // are trimmed at both ends.
 #pragma once
 
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -35,6 +36,11 @@ struct IniSection {
   long long get_int(const std::string& key, long long fallback) const;
   int get_int32(const std::string& key, int fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
+
+  /// Throws std::invalid_argument naming the section, the first key not in
+  /// `known` and the valid keys, so a misspelt key fails instead of
+  /// silently leaving its default in place.
+  void require_known_keys(std::initializer_list<const char*> known) const;
 };
 
 class IniFile {
@@ -56,6 +62,10 @@ class IniFile {
 
   /// First instance or nullptr.
   const IniSection* find(const std::string& name) const;
+
+  /// Throws std::invalid_argument naming the first section whose name is
+  /// not in `known` and the valid names.
+  void require_known_sections(std::initializer_list<const char*> known) const;
 
  private:
   std::vector<IniSection> sections_;

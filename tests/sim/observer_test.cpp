@@ -393,6 +393,39 @@ TEST(Attribution, ConservesEndToEndLatencyInTheWild) {
   EXPECT_EQ(sum.classes[1].name, "yard");
 }
 
+// The run folds each completion straight into class- and port-indexed
+// accumulators and names them only in attribution_summary(). Folding the
+// kept rows by name, in completion order, must give the same bytes: same
+// sums in the same order, classes and ports in name order.
+TEST(Attribution, IndexedFoldMatchesAByNameFoldOfTheRows) {
+  auto scenario =
+      load_scenario_file(std::string(LEIME_CONFIG_DIR) + "/wild_topology.ini");
+  auto cfg = scenario.config;
+  cfg.result_bytes = 64000.0;
+  ObsConfig obs_cfg;
+  obs_cfg.attribution = true;
+  obs_cfg.keep_waterfalls = true;
+  const std::vector<std::string> classes = {"yard", "gate", "yard",
+                                            "gate", "yard", "gate"};
+  ASSERT_EQ(cfg.devices.size(), classes.size());
+  RecordingObserver obs(obs_cfg, cfg.devices.size(), classes);
+  cfg.observer = &obs;
+  run_scenario(cfg);
+
+  const obs::AttributionSummary sum = obs.attribution_summary();
+  obs::AttributionSummary by_name;
+  by_name.active = true;
+  by_name.incomplete = sum.incomplete;
+  for (const auto& wf : obs.waterfalls())
+    by_name.add(wf, obs.class_names()[wf.cls]);
+  ASSERT_GT(by_name.ports.size(), 4u);
+  ASSERT_GT(by_name.calibrated_tasks, 0u);
+  std::ostringstream got, want;
+  sum.to_json(got);
+  by_name.to_json(want);
+  EXPECT_EQ(got.str(), want.str());
+}
+
 // Hook-level edge cases: an abort with no open phase is a no-op, parked
 // tasks drop their ledger entry (no waterfall, counted incomplete), and
 // tasks still open at run end are incomplete too.

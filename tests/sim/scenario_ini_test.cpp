@@ -417,8 +417,8 @@ TEST(ScenarioIni, TopologySectionValidation) {
 
 TEST(ScenarioIni, RemovedPolicySectionIsRejected) {
   // The [policy] section configured exit-setting and offload fast paths
-  // that have been removed. A stale section must fail loudly, naming the
-  // section, rather than being dropped like an unknown one.
+  // that have been removed. A stale section must fail naming the section
+  // and why, not merely as an unknown one.
   for (const char* body :
        {"[policy]\n", "[policy]\nwarm_start = true\n",
         "[policy]\nunknown_key = 1\n"}) {
@@ -431,6 +431,54 @@ TEST(ScenarioIni, RemovedPolicySectionIsRejected) {
       EXPECT_NE(what.find("[policy]"), std::string::npos) << what;
       EXPECT_NE(what.find("removed"), std::string::npos) << what;
     }
+  }
+}
+
+TEST(ScenarioIni, UnknownSectionsAndKeysAreRejected) {
+  // A typo must fail naming the section and the key, never load and run
+  // on defaults.
+  const std::string base =
+      "[scenario]\nduration = 5\n[edge]\ngflops = 40\n[device]\nrate = 1\n";
+  const struct {
+    std::string text;
+    const char* section;
+    const char* key;
+  } cases[] = {
+      {base + "[observabilty]\nmetrics = true\n", "[observabilty]", nullptr},
+      {base + "[shard]\nshards = 2\n", "[shard]", nullptr},
+      {"[scenario]\nduraton = 5\n[edge]\n[device]\n", "[scenario]",
+       "duraton"},
+      {"[scenario]\n[edge]\ngflop = 40\n[device]\n", "[edge]", "gflop"},
+      {"[scenario]\n[edge]\n[device]\ngflop = 1\n", "[device]", "gflop"},
+      {base + "[device]\nrate = 1\nclas = cam\n", "[device]", "clas"},
+      {base + "[runtime]\nthread = 2\n", "[runtime]", "thread"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    try {
+      load_scenario(util::IniFile::parse_string(c.text));
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.section), std::string::npos) << what;
+      if (c.key)
+        EXPECT_NE(what.find(std::string("unknown key '") + c.key + "'"),
+                  std::string::npos)
+            << what;
+      else
+        EXPECT_NE(what.find("unknown section"), std::string::npos) << what;
+    }
+  }
+  // The same file without the typos loads.
+  EXPECT_NO_THROW(load_scenario(util::IniFile::parse_string(base)));
+}
+
+TEST(ScenarioIni, ShippedConfigsLoad) {
+  for (const char* name : {"campus.ini", "wild_faults.ini",
+                           "wild_topology.ini"}) {
+    SCOPED_TRACE(name);
+    EXPECT_NO_THROW(
+        load_scenario_file(std::string(LEIME_CONFIG_DIR) + "/" + name));
   }
 }
 

@@ -124,5 +124,23 @@ TEST(Ini, LastDuplicateKeyWins) {
   EXPECT_EQ(ini.only("s").get("k"), "2");
 }
 
+TEST(Ini, RequireKnownKeysAndSectionsNameTheTypo) {
+  const auto ini = IniFile::parse_string("[a]\nx = 1\ny = 2\n[b]\n");
+  EXPECT_NO_THROW(ini.only("a").require_known_keys({"x", "y", "z"}));
+  EXPECT_NO_THROW(ini.require_known_sections({"a", "b"}));
+  try {
+    ini.only("a").require_known_keys({"x"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "[a] unknown key 'y' (valid keys: x)");
+  }
+  try {
+    ini.require_known_sections({"a", "c"});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ini: unknown section [b] (valid sections: a c)");
+  }
+}
+
 }  // namespace
 }  // namespace leime::util
