@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -223,33 +224,48 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Raw event-queue throughput: hold the heap at a fixed depth and run a
+  // Raw event-queue throughput: hold the queue at a fixed depth and run a
   // schedule-on-pop churn — the DES's dominant access pattern — so the
-  // hot path (4-ary heap sift + pooled slot recycle + inline handler
-  // dispatch) is measured without any simulation logic on top. The depth
-  // sweep separates cache-resident (64) from sift-bound (4096) regimes.
-  for (const int depth : {64, 4096}) {
-    constexpr int kChurn = 200000;
+  // hot path (ladder insert and refill + pooled slot recycle + inline
+  // handler dispatch) is measured without any simulation logic on top.
+  // Monotone times (`depth=*`) always land in the top and never exercise
+  // the rungs; random exponential holds (`hold=exp,*`) land anywhere, as
+  // the fleet's events do, and at 131072 the queue is as deep as the
+  // fleet's. The hold cases include drawing the hold (a mt19937_64
+  // exponential), the same in every build.
+  constexpr int kChurn = 200000;
+  // `when(q, rng, i)` is the time of the i-th event scheduled.
+  auto queue_case = [&](const std::string& name, int depth, auto when) {
     std::uint64_t executed = 0;
-    auto& c = reporter.run_case(
-        "queue/depth=" + std::to_string(depth), [&] {
-          sim::EventQueue q;
-          executed = 0;
-          double t = 0.0;
-          for (int i = 0; i < depth; ++i)
-            q.schedule(t += 0.25, sim::EventKind::kGeneric,
-                       [&executed] { ++executed; });
-          for (int i = 0; i < kChurn; ++i) {
-            q.run_one();
-            q.schedule(t += 0.25, sim::EventKind::kGeneric,
-                       [&executed] { ++executed; });
-          }
-          q.run_all();
-        });
+    auto& c = reporter.run_case(name, [&] {
+      sim::EventQueue q;
+      std::mt19937_64 rng(7);
+      executed = 0;
+      for (int i = 0; i < depth; ++i)
+        q.schedule(when(q, rng, i), sim::EventKind::kGeneric,
+                   [&executed] { ++executed; });
+      for (int i = 0; i < kChurn; ++i) {
+        q.run_one();
+        q.schedule(when(q, rng, depth + i), sim::EventKind::kGeneric,
+                   [&executed] { ++executed; });
+      }
+      q.run_all();
+    });
     c.counters["events"] = executed;  // deterministic: depth + kChurn
     if (c.wall.median > 0.0)
       c.rates["events_per_s"] =
           static_cast<double>(executed) / c.wall.median;
+  };
+  for (const int depth : {64, 4096})
+    queue_case("queue/depth=" + std::to_string(depth), depth,
+               [](const sim::EventQueue&, std::mt19937_64&, int i) {
+                 return 0.25 * (i + 1);
+               });
+  for (const int depth : {4096, 131072}) {
+    std::exponential_distribution<double> exp_hold(1.0 / depth);
+    queue_case("queue/hold=exp,depth=" + std::to_string(depth), depth,
+               [&exp_hold](const sim::EventQueue& q, std::mt19937_64& rng,
+                           int) { return q.now() + exp_hold(rng); });
   }
 
   for (const int num_slots : {100, 1000}) {

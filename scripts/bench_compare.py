@@ -13,11 +13,17 @@ BASELINE may be a file or a directory; a directory is resolved to
 
 Two kinds of gates, matching the two kinds of data in the record:
 
-* counters — exact integer work counts (cost-model evaluations, tasks
-  simulated) that are pure functions of fixed seeds. Deterministic, so
-  they are compared strictly on every host: any *increase* is an
-  algorithmic regression and fails; a decrease is reported as an
-  improvement (refresh the baseline to lock it in).
+* counters — exact integer counts that are pure functions of fixed
+  seeds. Deterministic, so they are compared strictly on every host, in
+  one of two ways:
+    - coverage counters (COVERAGE_COUNTERS: events, tasks, waterfalls,
+      hops, ...) count the work a case covers. They must match the
+      baseline exactly: a drop means the case lost coverage, a rise that
+      it measures different work, and either fails.
+    - every other counter is a cost (cost-model evaluations, rounds,
+      drops): an *increase* is an algorithmic regression and fails; a
+      decrease is reported as an improvement (refresh the baseline to
+      lock it in).
 
 * wall_s medians — wall-clock, trustworthy only on the machine that
   produced the baseline. By default (--wall auto) they are compared only
@@ -41,6 +47,11 @@ import json
 import math
 import os
 import sys
+
+# Counters that measure how much work a case covers, not what it costs.
+COVERAGE_COUNTERS = frozenset(
+    {"events", "tasks", "waterfalls", "hops", "slots", "delivered",
+     "decisions"})
 
 
 def fail_usage(msg: str) -> "NoReturn":  # noqa: F821 (py3.8-friendly)
@@ -96,6 +107,11 @@ def compare(current: dict, baseline: dict, *, wall: str, threshold: float,
             if cur_value is None:
                 failures.append(f"{name}: counter '{counter}' disappeared "
                                 f"(baseline {base_value})")
+            elif counter in COVERAGE_COUNTERS and cur_value != base_value:
+                failures.append(
+                    f"{name}: coverage counter '{counter}' changed "
+                    f"{base_value} -> {cur_value}; it must match the "
+                    f"baseline exactly")
             elif cur_value > base_value:
                 delta = (f"+{100.0 * (cur_value / base_value - 1):.1f}%"
                          if base_value else f"+{cur_value} from zero")

@@ -2,19 +2,25 @@
 //
 // Events are (time, sequence, handler); ties on time break by insertion
 // order, so a run is bit-reproducible for a fixed seed. Single-threaded by
-// design — the edge scenarios here are small enough that determinism is
-// worth far more than parallel speed.
+// design: a fleet that outgrows one thread is split into shard queues
+// (sim/shard.h), each of them one of these.
 //
-// The hot path is allocation-free in steady state (DESIGN.md §10):
+// The ready set is a ladder queue (Tang, Goh & Thng, ACM TOMACS 2005),
+// so schedule and pop cost O(1) amortized at any depth (DESIGN.md §10):
+//   * top: an unsorted list of every event at or after `top_start_`;
+//   * rungs: up to kMaxRungs tiers of time buckets, each spawned lazily
+//     from the earliest bucket of the tier above (the first from top);
+//   * bottom: a small sorted run of the earliest events, popped in order.
+//
+// The hot path is allocation-free in steady state:
 //   * handlers are util::InlineFn — fixed-capacity in-object storage sized
 //     for the largest capture in simulation.cpp/resources.cpp and
 //     static-asserted at every bind site, so no std::function mallocs;
-//   * the ready set is an in-repo 4-ary min-heap over a flat vector of
-//     16-byte-ish entries; popping *moves* the handler out (the old
-//     std::priority_queue forced a copy because top() is const);
-//   * handler storage lives in pooled slots recycled through an intrusive
-//     free list, so after warmup a schedule/run cycle reuses memory
-//     instead of allocating it.
+//   * handlers live in pooled slots recycled through an intrusive free
+//     list, their (when, seq) keys in a parallel array; top and rung
+//     buckets are lists threaded through the keys, so they own no storage;
+//   * the rung bucket heads grow in the pool's steps and the bottom only
+//     at a new high water.
 #pragma once
 
 #include <array>
@@ -89,13 +95,18 @@ class EventQueue {
   /// +infinity when the queue is empty. Drives the sharded runner's
   /// lookahead-horizon computation (how far a shard may safely advance
   /// before the next barrier) and lets idle windows be skipped outright.
+  /// May refill the bottom from the rungs; that changes no observable
+  /// order, because every later schedule() still lands in its place.
   double peek_time() const {
-    return heap_.empty() ? std::numeric_limits<double>::infinity()
-                         : heap_.front().when;
+    if (bottom_head_ == bottom_.size()) {
+      if (size_ == 0) return std::numeric_limits<double>::infinity();
+      refill();
+    }
+    return bottom_[bottom_head_].when;
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t pending() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t pending() const { return size_; }
   std::uint64_t executed() const { return executed_; }
   std::uint64_t executed(EventKind kind) const {
     return executed_by_kind_[static_cast<std::size_t>(kind)];
@@ -106,32 +117,90 @@ class EventQueue {
   std::size_t pool_capacity() const { return slots_.size(); }
 
  private:
-  /// Heap entries carry only the ordering key + a slot index; the (big)
-  /// handler stays put in the pool while sift operations shuffle entries.
-  struct HeapEntry {
-    double when;
-    std::uint64_t seq;
-    std::uint32_t slot;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  /// Rung tiers at most; a bucket that would need a deeper one is sorted
+  /// straight into the bottom instead.
+  static constexpr std::size_t kMaxRungs = 8;
+  /// A group of at most this many events is sorted into the bottom; a
+  /// larger one is spread over a new rung of one bucket per event.
+  static constexpr std::uint32_t kSortMax = 32;
+  /// A sorted insert into the bottom that would move more entries than
+  /// this spills the bottom onto a new rung instead.
+  static constexpr std::ptrdiff_t kMaxShift = 64;
+
+  /// A pooled event's ordering key and list link, kept in an array of
+  /// their own so the ladder's list walks stay in dense memory, apart from
+  /// the handlers. `next` links the event into the top list, a rung
+  /// bucket or the free list; it is in exactly one of them at a time.
+  struct Key {
+    double when = 0.0;
+    std::uint64_t seq = 0;
+    std::uint32_t next = kNil;
   };
   struct Slot {
     Handler fn;
     EventKind kind = EventKind::kGeneric;
-    std::uint32_t next_free = kNoFreeSlot;
   };
-  static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
+  /// A bottom entry: the ordering key copied next to its slot index, so
+  /// sorting and searching the bottom never touch the pool.
+  struct Entry {
+    double when;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  /// Buckets [base, base + nb) of `heads_`; bucket b holds the events
+  /// with bucket_of(when) == b. Buckets below `cur` are spent: their
+  /// events went to a deeper rung or the bottom.
+  struct Rung {
+    double start = 0.0;
+    double inv_width = 0.0;
+    std::uint32_t base = 0;
+    std::uint32_t nb = 0;
+    std::uint32_t cur = 0;
 
-  static bool earlier(const HeapEntry& a, const HeapEntry& b) {
+    /// clamp(floor((when - start) * inv_width), 0, nb - 1): monotone in
+    /// `when`, which is all ordering needs.
+    std::uint32_t bucket_of(double when) const {
+      const double x = (when - start) * inv_width;
+      if (!(x > 0.0)) return 0;
+      if (x >= static_cast<double>(nb)) return nb - 1;
+      return static_cast<std::uint32_t>(x);
+    }
+  };
+
+  static bool earlier(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t idx);
+  void insert(std::uint32_t idx);
+  void insert_bottom(const Entry& e);
+  bool spill_bottom(const Entry& e);
+  void refill() const;
+  bool spawn_rung(std::uint32_t head, std::uint32_t n, double lo,
+                  double hi) const;
+  void spread(std::uint32_t head, std::uint32_t n, double lo,
+              double hi) const;
 
-  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap, root at 0
-  std::vector<Slot> slots_;      ///< handler pool, grows only at high water
-  std::uint32_t free_head_ = kNoFreeSlot;
+  std::vector<Slot> slots_;  ///< handler pool, grows at high water
+  // The ladder is mutable: peek_time() may refill the bottom.
+  mutable std::vector<Key> keys_;  ///< keys_[i] belongs to slots_[i]
+  std::uint32_t free_head_ = kNil;
+  /// Every event at or after top_start_ is in the top list.
+  mutable double top_start_ = -std::numeric_limits<double>::infinity();
+  mutable std::uint32_t top_head_ = kNil;
+  mutable std::uint32_t top_count_ = 0;
+  mutable double top_min_ = std::numeric_limits<double>::infinity();
+  mutable double top_max_ = -std::numeric_limits<double>::infinity();
+  mutable std::array<Rung, kMaxRungs> rungs_{};
+  mutable std::size_t nrungs_ = 0;
+  /// Every rung's bucket list heads, stacked.
+  mutable std::vector<std::uint32_t> heads_;
+  /// The earliest events in (when, seq) order from bottom_head_ on.
+  mutable std::vector<Entry> bottom_;
+  mutable std::size_t bottom_head_ = 0;
+  std::size_t size_ = 0;
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -114,12 +114,47 @@ class BenchCompareTest(unittest.TestCase):
         self.assertNotIn("Traceback", proc.stderr)
 
     def test_counter_decrease_is_not_a_failure(self):
-        base = record()
+        base = record(cases=[case(counters={"evaluations": 1953})])
         better = copy.deepcopy(base)
-        better["cases"][0]["counters"]["tasks"] = 100
+        better["cases"][0]["counters"]["evaluations"] = 1000
         cur = self.write("cur.json", better)
         ref = self.write("base.json", base)
         self.assertEqual(self.run_compare(cur, ref), 0)
+
+    def test_coverage_counter_drop_fails(self):
+        # A case that stops covering its work must not read as "improved":
+        # every coverage counter is exact, in both directions.
+        for counter, value in (("waterfalls", 160107), ("events", 200064),
+                               ("tasks", 240), ("hops", 1200)):
+            with self.subTest(counter=counter):
+                base = record(cases=[case(counters={counter: value})])
+                for cur_value in (0, value - 1, value + 1):
+                    cur_rec = copy.deepcopy(base)
+                    cur_rec["cases"][0]["counters"][counter] = cur_value
+                    cur = self.write("cur.json", cur_rec)
+                    ref = self.write("base.json", base)
+                    proc = subprocess.run(
+                        [sys.executable, SCRIPT, cur, ref],
+                        capture_output=True, text=True)
+                    self.assertEqual(proc.returncode, 1, cur_value)
+                    self.assertIn(f"coverage counter '{counter}' changed",
+                                  proc.stderr)
+
+    def test_committed_coverage_counters_gate_drops(self):
+        """A zeroed coverage counter in a committed baseline fails."""
+        for name, counter in (("BENCH_obs_overhead.json", "waterfalls"),
+                              ("BENCH_micro_sim.json", "events")):
+            with open(os.path.join(BASELINES, name), encoding="utf-8") as fh:
+                base = json.load(fh)
+            tampered = copy.deepcopy(base)
+            hits = 0
+            for c in tampered["cases"]:
+                if counter in c.get("counters", {}):
+                    c["counters"][counter] = 0
+                    hits += 1
+            self.assertGreater(hits, 0, name)
+            cur = self.write(name, tampered)
+            self.assertEqual(self.run_compare(cur, BASELINES), 1, name)
 
     def test_missing_case_fails_new_case_passes(self):
         base = record(cases=[case("a"), case("b")])

@@ -1,14 +1,16 @@
 // Zero-allocation steady-state gate for the DES hot path (DESIGN.md §10).
 //
-// After a warmup that grows the handler pool and heap vector to their
-// working depth, a schedule/run cycle must perform no heap allocations at
-// all: handlers live in InlineFn storage, heap entries in a pre-grown flat
-// vector, and event slots recycle through the free list. The global
+// After a warmup that grows the handler pool and the ladder's arrays to
+// their working depth, a schedule/run cycle must perform no heap
+// allocations at all: handlers live in InlineFn storage, keys and bucket
+// lists in pre-grown flat arrays, and event slots recycle through the
+// free list. The global
 // operator new/delete counters from tests/support/alloc_hooks.cpp make
 // that property a hard assertion instead of a hope.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 
 #include "sim/event_queue.h"
 #include "support/alloc_hooks.h"
@@ -57,6 +59,39 @@ TEST(EventQueueAlloc, SteadyStateSchedulesAndRunsWithZeroAllocations) {
       << "handler pool grew past its warmup high-water mark";
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kDepth + 400 * kDepth +
                                               kDepth + 50000));
+}
+
+// The same gate at fleet depth with random exponential holds, the case
+// that spawns and spends rungs all the time.
+TEST(EventQueueAlloc, FleetDepthRandomHoldsRunWithZeroAllocations) {
+  EventQueue q;
+  std::uint64_t fired = 0;
+  constexpr int kDepth = 65536;
+  constexpr int kChurn = 200000;
+  std::mt19937_64 rng(11);
+  std::exponential_distribution<double> hold(1.0 / kDepth);
+  auto churn = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      q.run_one();
+      q.schedule(q.now() + hold(rng), [&fired] { ++fired; });
+    }
+  };
+  for (int i = 0; i < kDepth; ++i)
+    q.schedule(hold(rng), [&fired] { ++fired; });
+  churn(kChurn);  // warmup: the pool and the rungs reach their high water
+  const std::size_t warm_pool = q.pool_capacity();
+
+  const std::uint64_t allocs_before = testsupport::allocation_count();
+  const std::uint64_t frees_before = testsupport::deallocation_count();
+  churn(kChurn);
+  EXPECT_EQ(testsupport::allocation_count() - allocs_before, 0u)
+      << "fleet-depth churn allocated on the hot path";
+  EXPECT_EQ(testsupport::deallocation_count() - frees_before, 0u)
+      << "fleet-depth churn freed on the hot path";
+  EXPECT_EQ(q.pool_capacity(), warm_pool);
+  EXPECT_EQ(q.pending(), static_cast<std::size_t>(kDepth));
+  q.run_all();
+  EXPECT_EQ(fired, static_cast<std::uint64_t>(kDepth + 2 * kChurn));
 }
 
 TEST(EventQueueAlloc, HookCountersActuallyCount) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,8 +93,8 @@ TEST(EventQueue, RejectsNonFiniteTimes) {
   EXPECT_EQ(ran, 1);
 }
 
-// FIFO among ties must hold at scale, where the 4-ary heap actually
-// exercises multi-level sifts, not just the tiny 5-event case above.
+// FIFO among ties must hold at scale, where the burst is far over the
+// size a ladder bucket is sorted at, not just the tiny 5-event case above.
 TEST(EventQueue, ThousandSameTimestampTiesRunInInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
@@ -236,6 +240,258 @@ TEST(EventQueue, HandlerLifetimesBalanceThroughThePool) {
     EXPECT_GT(q.pending(), 0u);
   }                           // ...half destroyed with the queue
   EXPECT_EQ(balance, 0);
+}
+
+// -0.0 is one instant with 0.0: the two tie by insertion order, and the
+// clock reads +0.0 whichever of them ran.
+TEST(EventQueue, NegativeZeroTiesWithZeroByInsertionOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(0.0, [&] { order.push_back(0); });
+  q.schedule(-0.0, [&] { order.push_back(1); });
+  q.schedule(0.0, [&] { order.push_back(2); });
+  q.schedule(-0.0, [&] { order.push_back(3); });
+  EXPECT_FALSE(std::signbit(q.peek_time()));
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_FALSE(std::signbit(q.now()));
+}
+
+// peek_time() after run_until may pull the next events into the bottom;
+// an event scheduled afterwards into the gap before them still runs first.
+TEST(EventQueue, ScheduleIntoTheGapAfterAPeekRunsFirst) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 4096; ++i)
+    q.schedule(10.0 + 0.001 * i, [&order, i] { order.push_back(i); });
+  q.run_until(5.0);
+  EXPECT_DOUBLE_EQ(q.peek_time(), 10.0);
+  q.schedule(7.0, [&] { order.push_back(-1); });
+  q.schedule(10.0, [&] { order.push_back(-2); });  // ties with event 0
+  EXPECT_DOUBLE_EQ(q.peek_time(), 7.0);
+  q.run_all();
+  ASSERT_EQ(order.size(), 4098u);
+  EXPECT_EQ(order[0], -1);
+  EXPECT_EQ(order[1], 0);
+  EXPECT_EQ(order[2], -2);
+  EXPECT_EQ(order[3], 1);
+}
+
+// A rejected schedule leaves the queue as it was and its slot free.
+TEST(EventQueue, RejectedScheduleLeavesTheQueueUntouched) {
+  EventQueue q;
+  for (int i = 0; i < 100; ++i) q.schedule(1.0 + i, [] {});
+  q.run_until(50.5);
+  const std::size_t pool = q.pool_capacity();
+  EXPECT_THROW(q.schedule(3.0, [] {}), std::invalid_argument);
+  EXPECT_THROW(
+      q.schedule(std::numeric_limits<double>::quiet_NaN(), [] {}),
+      std::invalid_argument);
+  EXPECT_EQ(q.pending(), 50u);
+  EXPECT_DOUBLE_EQ(q.peek_time(), 51.0);
+  q.schedule(60.0, [] {});  // reuses a freed slot
+  EXPECT_EQ(q.pool_capacity(), pool);
+  q.run_all();
+  EXPECT_EQ(q.executed(), 101u);
+}
+
+// Differential test: EventQueue against a std::set<(when, seq)> model.
+// Every op is followed by a comparison of now(), pending() and, when
+// `peek_every_op`, peek_time(); every executed event is checked against
+// the model's next one. A run that peeks only now and then also exercises
+// the lazy refill: schedules that land while the bottom is spent.
+class QueueVsModel {
+ public:
+  QueueVsModel(std::uint64_t seed, bool peek_every_op)
+      : rng_(seed), peek_every_op_(peek_every_op) {}
+
+  std::size_t ops() const { return ops_; }
+  std::size_t pending() const { return model_.size(); }
+  double now() const { return now_; }
+  std::mt19937_64& rng() { return rng_; }
+
+  void schedule(double when) {
+    add(when);
+    check();
+  }
+
+  void run_one() {
+    if (model_.empty()) {
+      EXPECT_FALSE(q_.run_one());
+    } else {
+      const auto expected = *model_.begin();
+      model_.erase(model_.begin());
+      const std::size_t before = ran_.size();
+      ASSERT_TRUE(q_.run_one());  // may add follow-ups to the model
+      ASSERT_EQ(ran_.size(), before + 1);
+      EXPECT_EQ(ran_.back(), expected.second);
+      now_ = expected.first;
+    }
+    check();
+  }
+
+  void run_until(double until) {
+    const std::size_t before = ran_.size();
+    q_.run_until(until);
+    // Follow-ups scheduled during dispatch are in the model by now; each
+    // has a larger key than its parent, so the model's key order is the
+    // order the queue had to run them in.
+    std::size_t i = before;
+    while (!model_.empty() && model_.begin()->first <= until) {
+      ASSERT_LT(i, ran_.size()) << "event " << model_.begin()->second
+                                << " at " << model_.begin()->first;
+      ASSERT_EQ(ran_[i], model_.begin()->second) << "position " << i;
+      now_ = model_.begin()->first;
+      model_.erase(model_.begin());
+      ++i;
+    }
+    EXPECT_EQ(i, ran_.size());
+    now_ = std::max(now_, until);
+    check();
+  }
+
+  double peek() {
+    ++ops_;
+    const double t = q_.peek_time();
+    EXPECT_EQ(t, model_peek());
+    return t;
+  }
+
+ private:
+  double model_peek() const {
+    return model_.empty() ? std::numeric_limits<double>::infinity()
+                          : model_.begin()->first;
+  }
+
+  void add(double when) {
+    const std::uint64_t id = next_id_++;
+    model_.emplace(when, id);
+    q_.schedule(when, [this, id] { dispatch(id); });
+  }
+
+  // One event in five schedules a follow-up while it is dispatched: at
+  // the same instant (a tie behind everything already there), or a
+  // little later.
+  void dispatch(std::uint64_t id) {
+    ran_.push_back(id);
+    std::uint64_t h = id * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+    if (h % 5 != 0) return;
+    static constexpr double kDelays[] = {0.0, 1e-9, 1e-3, 1.0};
+    add(q_.now() + kDelays[(h >> 8) % 4]);
+  }
+
+  void check() {
+    ++ops_;
+    EXPECT_EQ(q_.pending(), model_.size());
+    EXPECT_EQ(q_.now(), now_);
+    if (peek_every_op_ || rng_() % 16 == 0) {
+      EXPECT_EQ(q_.peek_time(), model_peek());
+    }
+  }
+
+  EventQueue q_;
+  std::set<std::pair<double, std::uint64_t>> model_;
+  std::vector<std::uint64_t> ran_;
+  std::mt19937_64 rng_;
+  bool peek_every_op_;
+  std::uint64_t next_id_ = 0;
+  double now_ = 0.0;
+  std::size_t ops_ = 0;
+};
+
+void run_differential(std::uint64_t seed, bool peek_every_op,
+                      std::size_t max_depth) {
+  QueueVsModel m(seed, peek_every_op);
+  auto& rng = m.rng();
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::exponential_distribution<double> exp1(1.0);
+
+  // -0.0 next to 0.0, while now() is still 0.
+  for (int i = 0; i < 200; ++i) m.schedule(i % 3 == 0 ? -0.0 : 0.0);
+
+  // Every depth is held once, in a seeded order, before the run may end.
+  std::vector<std::size_t> depths = {1, 2, 16, 256, 4096, 32768};
+  if (max_depth > depths.back()) depths.push_back(max_depth);
+  std::shuffle(depths.begin(), depths.end(), rng);
+  std::size_t phase = 0, holds = 0;
+  while ((m.ops() < 100000 || holds < depths.size()) &&
+         !::testing::Test::HasFatalFailure()) {
+    switch (phase++ % 6) {
+      case 0: {  // exponential holds at a fixed depth
+        const std::size_t depth = depths[holds++ % depths.size()];
+        const double mean = std::pow(10.0, -6.0 + 9.0 * unit(rng));
+        while (m.pending() > depth) m.run_one();
+        while (m.pending() < depth) m.schedule(m.now() + mean * exp1(rng));
+        for (int i = 0; i < 3000; ++i) {
+          m.run_one();
+          m.schedule(m.now() + mean * exp1(rng));
+        }
+        break;
+      }
+      case 1: {  // a burst at one instant: now, or later
+        const double t = rng() % 2 ? m.now() : m.now() + exp1(rng);
+        for (int i = 0; i < 1500; ++i) {
+          m.schedule(t);
+          if (rng() % 10 == 0) m.run_one();
+        }
+        break;
+      }
+      case 2: {  // times a few ulps apart
+        const double base = std::max(1e6, m.now());
+        const double ulp = std::nextafter(base, 2.0 * base) - base;
+        for (int i = 0; i < 1500; ++i)
+          m.schedule(base + static_cast<double>(rng() % 4096) * ulp);
+        break;
+      }
+      case 3: {  // offsets from 1e-9 to 1e9
+        for (int i = 0; i < 1500; ++i)
+          m.schedule(m.now() + std::pow(10.0, -9.0 + 18.0 * unit(rng)));
+        break;
+      }
+      case 4: {  // run_until, peek (refilling), then schedule into the gap
+        for (int i = 0; i < 100 && m.pending() > 0; ++i) {
+          const double next = m.peek();
+          const double until = rng() % 4 == 0
+                                   ? next
+                                   : m.now() + (next - m.now()) * 2.0 *
+                                                   unit(rng);
+          m.run_until(until);
+          const double peeked = m.peek();
+          if (!std::isfinite(peeked)) break;
+          m.schedule(m.now());
+          m.schedule(m.now() + (peeked - m.now()) * unit(rng));
+          m.schedule(peeked);  // ties with the refilled front
+        }
+        break;
+      }
+      case 5: {  // drain to a random depth
+        const std::size_t target = m.pending() * (rng() % 4) / 4;
+        while (m.pending() > target) m.run_one();
+        break;
+      }
+    }
+  }
+  m.run_until(std::numeric_limits<double>::max());
+  EXPECT_EQ(m.pending(), 0u);
+  EXPECT_GE(m.ops(), 100000u);
+}
+
+TEST(EventQueueDifferential, MatchesAnOrderedSetModel) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential(seed, /*peek_every_op=*/true,
+                     seed <= 2 ? 131072 : 32768);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(EventQueueDifferential, MatchesTheModelWithoutPeekingEveryOp) {
+  for (std::uint64_t seed = 7; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    run_differential(seed, /*peek_every_op=*/false, 32768);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
